@@ -11,15 +11,19 @@
  * sweep verdicts. Wall-clock throughput is a side channel and goes
  * to stderr, per the timing.hh contract.
  *
- * Usage: scenario_serve_soak [STATE_ROOT]   (default /tmp/avf_serve_soak)
+ * Usage: scenario_serve_soak [STATE_ROOT]
+ * (default: a fresh mkdtemp directory under $TMPDIR or /tmp, removed
+ * again when every check passes)
  */
 
 #include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include <stdlib.h>
 #include <sys/stat.h>
 
 #include "obs/feed_writer.hh"
@@ -132,10 +136,22 @@ killPointSurvives(const serve::CampaignSpec &spec,
 int
 main(int argc, char **argv)
 {
-    const std::string root =
-        argc > 1 ? argv[1] : "/tmp/avf_serve_soak";
-    if (!ensureDir(root))
-        fatal("cannot create state root %s", root.c_str());
+    std::string root;
+    const bool freshRoot = argc <= 1;
+    if (!freshRoot) {
+        root = argv[1];
+        if (!ensureDir(root))
+            fatal("cannot create state root %s", root.c_str());
+    } else {
+        // A fresh directory, so concurrent soaks never share state.
+        root = (std::filesystem::temp_directory_path() /
+                "avf_serve_soak_XXXXXX")
+                   .string();
+        if (!::mkdtemp(root.data()))
+            fatal("cannot create a state root under %s",
+                  std::filesystem::temp_directory_path().c_str());
+    }
+    std::fprintf(stderr, "soak: state root %s\n", root.c_str());
 
     const serve::CampaignSpec spec = soakSpec();
     timing::Stopwatch watch;
@@ -196,5 +212,9 @@ main(int argc, char **argv)
     std::printf("\nresult: %s\n",
                 allSurvived ? "all kill points byte-identical"
                             : "IDENTITY VIOLATION");
+    if (freshRoot && allSurvived) {
+        std::error_code ec;
+        std::filesystem::remove_all(root, ec);
+    }
     return allSurvived ? 0 : 1;
 }

@@ -13,7 +13,9 @@ cd "$(dirname "$0")/.."
 RESULTS="${1:-results}"
 mkdir -p "$RESULTS"
 
-cmake -B build -G Ninja
+# No -G: an existing tree keeps its generator (naming a different one
+# is a CMake error) and a fresh tree gets CMake's default.
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build --output-on-failure
 

@@ -81,6 +81,8 @@ class ThrottleController : public cpu::PipelineObserver
                        ThrottleConfig config = ThrottleConfig{},
                        reliability::BudgetArbiter *arbiter = nullptr);
 
+    /** Every cycle: the feed may publish rows on any cycle. */
+    unsigned hooks() const override { return cpu::hookCycle; }
     void onCycle(Cycle now) override;
 
     /** True while the throttle is engaged. */

@@ -192,6 +192,8 @@ class InjectionPort : public cpu::PipelineObserver
 
     // ---- cpu::PipelineObserver ----
 
+    unsigned hooks() const override { return cpu::hookRetire; }
+
     /** Latch failures: first failure retirement per open lane. */
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;

@@ -36,6 +36,8 @@ class OccupancyEstimator : public AvfEstimator
     OccupancyEstimator(const cpu::Pipeline &pipe,
                        Cycle intervalCycles);
 
+    unsigned hooks() const override { return cpu::hookCycle; }
+    Cycle wakeAt() const override { return boundaryTick.due(); }
     void onCycle(Cycle now) override;
 
     /** "occupancy:iq". */

@@ -59,6 +59,23 @@ OnlineAvfEstimator::OnlineAvfEstimator(cpu::Pipeline &pipe,
     }
 }
 
+unsigned
+OnlineAvfEstimator::hooks() const
+{
+    return ownedPort ? cpu::hookRetire | cpu::hookCycle : cpu::hookCycle;
+}
+
+Cycle
+OnlineAvfEstimator::wakeAt() const
+{
+    Cycle wake = boundaryTick.due();
+    if (scheduledCount)
+        for (const auto &slot : slots)
+            if (slot.scheduled && slot.injectAt < wake)
+                wake = slot.injectAt;
+    return wake;
+}
+
 void
 OnlineAvfEstimator::onRetire(const cpu::DynInstr &instr,
                              const cpu::RetireInfo &info)

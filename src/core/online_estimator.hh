@@ -109,6 +109,10 @@ class OnlineAvfEstimator : public AvfEstimator
                        OnlineConfig config = OnlineConfig{},
                        InjectionPort *sharedPort = nullptr);
 
+    /** Cycle; Retire too when the estimator owns a private port. */
+    unsigned hooks() const override;
+    /** The next window boundary or scheduled injection. */
+    Cycle wakeAt() const override;
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
@@ -207,8 +211,8 @@ class OnlineAvfEstimator : public AvfEstimator
     Structure target;
     OnlineConfig conf;
     Rng rng;
-    /** Fires at window boundaries (now % M == 0) without the
-     *  per-cycle division. */
+    /** Fires at window boundaries (now % M == 0); its due cycle is
+     *  the estimator's wake cycle between injections. */
     IntervalTicker boundaryTick;
 
     /** Port injected through; ownedPort when privately constructed. */

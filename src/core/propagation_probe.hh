@@ -46,6 +46,16 @@ class PropagationProbe : public cpu::PipelineObserver
     PropagationProbe(cpu::Pipeline &pipe, Structure structure,
                      ProbeConfig config = ProbeConfig{});
 
+    unsigned
+    hooks() const override
+    {
+        return cpu::hookRetire | cpu::hookCycle;
+    }
+    /**
+     * Every cycle until finished: a failure retirement closes the
+     * window, and the next cycle must fire the next injection.
+     */
+    Cycle wakeAt() const override { return finished() ? neverCycle : 0; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

@@ -49,6 +49,12 @@ class FeatureCollector : public cpu::PipelineObserver
      */
     FeatureCollector(const cpu::Pipeline &pipe, Cycle intervalCycles);
 
+    unsigned
+    hooks() const override
+    {
+        return cpu::hookRetire | cpu::hookCycle;
+    }
+    Cycle wakeAt() const override { return boundaryTick.due(); }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
@@ -144,6 +150,8 @@ class RegressionEstimator : public AvfEstimator
                         Cycle intervalCycles,
                         LinearAvfModel model = LinearAvfModel{});
 
+    unsigned hooks() const override { return collector.hooks(); }
+    Cycle wakeAt() const override { return collector.wakeAt(); }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

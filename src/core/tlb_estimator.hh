@@ -54,6 +54,14 @@ class TlbAvfEstimator : public AvfEstimator
                     TlbEstimatorConfig config = TlbEstimatorConfig{},
                     InjectionPort *sharedPort = nullptr);
 
+    /** Cycle; Retire too when the estimator owns a private port. */
+    unsigned
+    hooks() const override
+    {
+        return ownedPort ? cpu::hookRetire | cpu::hookCycle
+                         : cpu::hookCycle;
+    }
+    Cycle wakeAt() const override { return boundaryTick.due(); }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

@@ -36,6 +36,8 @@ class UtilizationEstimator : public AvfEstimator
     UtilizationEstimator(const cpu::Pipeline &pipe, cpu::FuClass cls,
                          Cycle intervalCycles);
 
+    unsigned hooks() const override { return cpu::hookCycle; }
+    Cycle wakeAt() const override { return boundaryTick.due(); }
     void onCycle(Cycle now) override;
 
     /** "utilization:<unit class>", e.g. "utilization:fxu". */

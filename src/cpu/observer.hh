@@ -2,7 +2,8 @@
  * @file
  * Observation interface over the pipeline. The online estimator and
  * the SoftArch offline analyzer both attach here; the pipeline calls
- * out at dispatch, issue, completion, retirement, and once per cycle.
+ * out at dispatch, issue, completion, retirement, and at the end of
+ * the cycles an observer asks to be woken on.
  */
 
 #ifndef AVF_CPU_OBSERVER_HH
@@ -44,11 +45,43 @@ errorHopName(ErrorHop hop)
     }
 }
 
-/** Passive pipeline observer; all hooks default to no-ops. */
+/** Bits of PipelineObserver::hooks(): the events an observer takes. */
+enum HookBits : unsigned
+{
+    hookDispatch = 1u << 0,
+    hookIssue = 1u << 1,
+    hookComplete = 1u << 2,
+    hookRetire = 1u << 3,
+    hookCycle = 1u << 4,
+    hookAll = (1u << 5) - 1,
+};
+
+/**
+ * Passive pipeline observer; all hooks default to no-ops.
+ *
+ * Dispatch is event-driven. The pipeline reads hooks() once, when the
+ * observer is attached, and calls only the declared hooks. It calls
+ * onCycle(now) only when now >= wakeAt(), and reads wakeAt() again
+ * after each onCycle call and at attach, nowhere else. So an
+ * observer's wake cycle may move earlier only inside its own
+ * onCycle. The defaults (every hook, every cycle) keep an observer
+ * that declares nothing exactly as before. onCycle must tolerate
+ * extra calls on cycles before its wake cycle: a forwarding proxy
+ * that declares nothing calls it every cycle.
+ */
 class PipelineObserver
 {
   public:
     virtual ~PipelineObserver() = default;
+
+    /** HookBits mask of the hooks the pipeline should call. */
+    virtual unsigned hooks() const { return hookAll; }
+
+    /**
+     * Next cycle whose onCycle must run (neverCycle: none). The
+     * default 0 asks for every cycle.
+     */
+    virtual Cycle wakeAt() const { return 0; }
 
     /** Instruction entered the ROB (and its issue queue). */
     virtual void onDispatch(const DynInstr &) {}
@@ -62,7 +95,7 @@ class PipelineObserver
     /** Instruction retired (in order). */
     virtual void onRetire(const DynInstr &, const RetireInfo &) {}
 
-    /** End of cycle @p now. */
+    /** End of cycle @p now (on the cycles wakeAt() asks for). */
     virtual void onCycle(Cycle) {}
 
     /**

@@ -68,7 +68,26 @@ Pipeline::Pipeline(const CpuConfig &config, trace::TraceSource &src)
 void
 Pipeline::addObserver(PipelineObserver *observer)
 {
-    observers.push_back(observer);
+    const unsigned hooks = observer->hooks();
+    const Cycle due = hooks & hookCycle ? observer->wakeAt()
+                                        : neverCycle;
+    observers.push_back({observer, hooks, due});
+    hookUnion |= hooks;
+    nextWake = std::min(nextWake, due);
+}
+
+void
+Pipeline::wakeObservers()
+{
+    Cycle earliest = neverCycle;
+    for (auto &slot : observers) {
+        if (currentCycle >= slot.due) {
+            slot.observer->onCycle(currentCycle);
+            slot.due = slot.observer->wakeAt();
+        }
+        earliest = std::min(earliest, slot.due);
+    }
+    nextWake = earliest;
 }
 
 bool
@@ -91,8 +110,8 @@ Pipeline::step()
     fetchStage();
     accountCycle();
 
-    for (auto *obs : observers)
-        obs->onCycle(currentCycle);
+    if (currentCycle >= nextWake)
+        wakeObservers();
 
     ++currentCycle;
     ++statsData.cycles;
@@ -150,8 +169,8 @@ Pipeline::retireStage()
         if (instr.oldDestPhys >= 0)
             rename.release(instr.oldDestPhys);
 
-        for (auto *obs : observers)
-            obs->onRetire(instr, info);
+        notify(hookRetire,
+               [&](PipelineObserver &obs) { obs.onRetire(instr, info); });
 
         robHead = (robHead + 1) % conf.robEntries;
         --robCount;
@@ -246,8 +265,8 @@ Pipeline::completeStage()
             ++statsData.redirects;
         }
 
-        for (auto *obs : observers)
-            obs->onComplete(instr);
+        notify(hookComplete,
+               [&](PipelineObserver &obs) { obs.onComplete(instr); });
     }
     bucket.clear();
 }
@@ -421,8 +440,7 @@ Pipeline::issueOne(int robIdx, FuClass cls)
     unit_state.resident.emplace_back(robIdx, instr.completeCycle);
 
     ++statsData.issued;
-    for (auto *obs : observers)
-        obs->onIssue(instr);
+    notify(hookIssue, [&](PipelineObserver &obs) { obs.onIssue(instr); });
 }
 
 void
@@ -605,12 +623,11 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
     }
 
     ++statsData.dispatched;
-    for (auto *obs : observers)
-        obs->onDispatch(instr);
-    if (in.op == OpClass::Nop) {
-        for (auto *obs : observers)
-            obs->onComplete(instr);
-    }
+    notify(hookDispatch,
+           [&](PipelineObserver &obs) { obs.onDispatch(instr); });
+    if (in.op == OpClass::Nop)
+        notify(hookComplete,
+               [&](PipelineObserver &obs) { obs.onComplete(instr); });
     return true;
 }
 

@@ -78,7 +78,10 @@ class Pipeline
      */
     Pipeline(const CpuConfig &config, trace::TraceSource &source);
 
-    /** Attach an observer (not owned); order of attach = call order. */
+    /**
+     * Attach an observer (not owned); order of attach = call order.
+     * Reads its hooks() and wakeAt() (see PipelineObserver).
+     */
     void addObserver(PipelineObserver *observer);
 
     /**
@@ -310,6 +313,20 @@ class Pipeline
     static FuClass fuFor(trace::OpClass op);
     int latencyFor(const DynInstr &instr, bool forwarded) const;
     void issueOne(int robIdx, FuClass cls);
+    /** Call onCycle on the due observers; refresh the wake cycles. */
+    void wakeObservers();
+
+    /** Call @p call on each observer that declared @p hook. */
+    template <typename Call>
+    void
+    notify(unsigned hook, Call &&call)
+    {
+        if (!(hookUnion & hook))
+            return;
+        for (auto &slot : observers)
+            if (slot.hooks & hook)
+                call(*slot.observer);
+    }
     void notifyErrorHop(const DynInstr &instr, ErrorMask bits,
                         ErrorHop hop);
     bool tryDispatchOne(const FetchedInstr &fetched);
@@ -324,7 +341,20 @@ class Pipeline
     mem::MemoryHierarchy hierarchy;
     BranchPredictor predictor;
     RenameUnit rename;
-    std::vector<PipelineObserver *> observers;
+
+    /** One attached observer with its declared hooks and due cycle. */
+    struct ObserverSlot
+    {
+        PipelineObserver *observer;
+        unsigned hooks;
+        /** Next cycle to call onCycle on; neverCycle without it. */
+        Cycle due;
+    };
+    std::vector<ObserverSlot> observers;
+    /** Union of the attached observers' hooks. */
+    unsigned hookUnion = 0;
+    /** Earliest due cycle over the observers. */
+    Cycle nextWake = neverCycle;
 
     Cycle currentCycle = 0;
     InstrSeq nextSeq = 0;

@@ -203,7 +203,8 @@ namespace detail
 {
 
 ExperimentResult
-runExperimentDirect(const ExperimentConfig &config)
+runExperimentDirect(const ExperimentConfig &config,
+                    const ObserverAttach &attach_with)
 {
     if (config.numIntervals <= 0)
         throw std::invalid_argument(
@@ -236,6 +237,13 @@ runExperimentDirect(const ExperimentConfig &config)
 
     trace::SyntheticTraceGenerator generator(config.profile);
     cpu::Pipeline pipeline(config.cpu, generator);
+    auto attach = [&attach_with](cpu::Pipeline &pipe,
+                                 cpu::PipelineObserver &obs) {
+        if (attach_with)
+            attach_with(pipe, obs);
+        else
+            pipe.addObserver(&obs);
+    };
 
     // One InjectionPort serves every estimator of the run; it must
     // observe retirements before the estimators poll window state, so
@@ -243,7 +251,7 @@ runExperimentDirect(const ExperimentConfig &config)
     // estimator construction order (structure order), which at
     // lanes=1 maps each estimator to exactly its legacy channel bit.
     core::InjectionPort port(pipeline);
-    pipeline.addObserver(&port);
+    attach(pipeline, port);
 
     core::OnlineConfig online_conf = config.online;
     online_conf.lanes = per_est;
@@ -285,15 +293,15 @@ runExperimentDirect(const ExperimentConfig &config)
     softarch::AceAnalyzer reference(pipeline, sa_conf);
 
     for (std::size_t i = 0; i < util_fxu_slot; ++i)
-        pipeline.addObserver(estimators[i].get());
-    pipeline.addObserver(&reference);
+        attach(pipeline, *estimators[i]);
+    attach(pipeline, reference);
     for (std::size_t i = util_fxu_slot; i < estimators.size(); ++i)
-        pipeline.addObserver(estimators[i].get());
+        attach(pipeline, *estimators[i]);
 
     // Regression features ride along so engine campaigns can fit and
     // evaluate the Walcott-style estimator without a second pass.
     core::FeatureCollector features(pipeline, interval_len);
-    pipeline.addObserver(&features);
+    attach(pipeline, features);
 
     // Lifecycle tracing: the tracker sees every injection open/close
     // from the estimators (LifecycleSink) and every error-bit hop from
@@ -304,8 +312,8 @@ runExperimentDirect(const ExperimentConfig &config)
         obs::LifecycleConfig lc_conf = config.lifecycle;
         lc_conf.windowCycles = config.online.m;
         tracker = std::make_unique<obs::LifecycleTracker>(lc_conf);
-        pipeline.addObserver(tracker.get()); // onRetire failure watch
-        pipeline.setHopSink(tracker.get());  // onErrorHop fast path
+        attach(pipeline, *tracker);         // onRetire failure watch
+        pipeline.setHopSink(tracker.get()); // onErrorHop fast path
     }
 
     // Root-cause attribution: every closed window is charged to a
@@ -333,7 +341,7 @@ runExperimentDirect(const ExperimentConfig &config)
             probes.push_back(std::make_unique<obs::CoverageProbe>(
                 pipeline, port, *attribution,
                 static_cast<obs::CoverageTarget>(t), probe_conf));
-            pipeline.addObserver(probes.back().get());
+            attach(pipeline, *probes.back());
         }
     }
 
@@ -377,7 +385,7 @@ runExperimentDirect(const ExperimentConfig &config)
                 static_cast<Structure>(s),
                 *estimators[static_cast<std::size_t>(s)]);
         feed->attachOccupancy(*estimators[occupancy_slot]);
-        pipeline.addObserver(feed.get());
+        attach(pipeline, *feed);
         if (config.control.mttfBudgetHours > 0.0)
             arbiter = std::make_unique<reliability::BudgetArbiter>(
                 reliability::FitModel(
@@ -385,7 +393,7 @@ runExperimentDirect(const ExperimentConfig &config)
                 config.control.mttfBudgetHours);
         controller = std::make_unique<control::ThrottleController>(
             pipeline, *feed, config.control.throttle, arbiter.get());
-        pipeline.addObserver(controller.get());
+        attach(pipeline, *controller);
     }
 
     // Simulate: numIntervals intervals plus the SoftArch lookahead

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -265,12 +266,20 @@ int defaultIntervals(int paperDefault = 100);
 namespace detail
 {
 
+/** Attaches one roster observer to the run's pipeline. */
+using ObserverAttach =
+    std::function<void(cpu::Pipeline &, cpu::PipelineObserver &)>;
+
 /**
  * The experiment body: runs on the calling thread, no engine
  * involved. Throws std::invalid_argument on a bad config so the
  * engine can report per-task errors without aborting the campaign.
+ * A non-empty @p attach attaches every observer, in roster order,
+ * instead of Pipeline::addObserver; the dispatch tests wrap each
+ * observer in a forwarding proxy there.
  */
-ExperimentResult runExperimentDirect(const ExperimentConfig &config);
+ExperimentResult runExperimentDirect(const ExperimentConfig &config,
+                                     const ObserverAttach &attach = {});
 
 } // namespace detail
 

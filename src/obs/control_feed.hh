@@ -68,6 +68,8 @@ class ControlFeed : public cpu::PipelineObserver
      */
     void attachOccupancy(const core::AvfEstimator &estimator);
 
+    /** Every cycle: rows release as the reporting latency elapses. */
+    unsigned hooks() const override { return cpu::hookCycle; }
     void onCycle(Cycle now) override;
 
     /**

@@ -91,6 +91,8 @@ class CoverageProbe : public core::AvfEstimator
                   CoverageProbeConfig config);
 
     // ---- cpu::PipelineObserver ----
+    unsigned hooks() const override { return cpu::hookCycle; }
+    Cycle wakeAt() const override { return boundaryTick.due(); }
     void onCycle(Cycle now) override;
 
     // ---- core::AvfEstimator ----

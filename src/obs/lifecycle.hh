@@ -219,6 +219,7 @@ class LifecycleTracker : public cpu::PipelineObserver,
                      const core::Outcome &outcome) override;
 
     // ---- cpu::PipelineObserver ----
+    unsigned hooks() const override { return cpu::hookRetire; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onErrorHop(const cpu::DynInstr &instr, cpu::ErrorMask bits,

@@ -42,16 +42,51 @@ AceAnalyzer::onRetire(const cpu::DynInstr &instr, const cpu::RetireInfo &)
     // front-erase in finalizeInterval() keeps capacity, so growth
     // stops after warm-up. avflint: allow(hot-path-alloc)
     records.push_back(rec);
+    // The ACE marks ride alongside, erased with the same prefix.
+    // avflint: allow(hot-path-alloc)
+    aceFlag.push_back(0);
+    // avflint: allow(hot-path-alloc)
+    lastAceRead.push_back(0);
+    if (rec.failurePoint)
+        markAce(records.size() - 1);
+}
+
+void
+AceAnalyzer::markAce(std::size_t idx)
+{
+    // A record is ACE iff it is a failure point or an ACE record
+    // reads its value. Marks only ever get added, and each record
+    // propagates once, when it turns ACE: the worklist reaches the
+    // least fixpoint a backward pass over the buffer would, at O(1)
+    // work per record.
+    aceFlag[idx] = 1;
+    // The worklist grows to the deepest marking chain once and keeps
+    // its capacity. avflint: allow(hot-path-alloc)
+    worklist.push_back(idx);
+    while (!worklist.empty()) {
+        const std::size_t i = worklist.back();
+        worklist.pop_back();
+        const Record &rec = records[i];
+        for (InstrSeq producer : rec.srcProducer) {
+            if (producer == invalidSeq || producer < baseSeq)
+                continue;
+            auto p = static_cast<std::size_t>(producer - baseSeq);
+            avf_assert(p < i, "producer does not precede consumer");
+            lastAceRead[p] = std::max(lastAceRead[p], rec.issueCycle);
+            if (!aceFlag[p]) {
+                aceFlag[p] = 1;
+                // avflint: allow(hot-path-alloc)
+                worklist.push_back(p);
+            }
+        }
+    }
 }
 
 void
 AceAnalyzer::onCycle(Cycle now)
 {
-    while (now >= (static_cast<Cycle>(nextFinalize) + 1) *
-                      conf.intervalCycles +
-                      conf.lookahead) {
+    while (now >= wakeAt())
         finalizeInterval();
-    }
 }
 
 void
@@ -81,30 +116,9 @@ AceAnalyzer::finalizeInterval()
     const Cycle end = (static_cast<Cycle>(nextFinalize) + 1) *
                       conf.intervalCycles;
 
-    // ---- backward ACE dataflow pass over the whole buffer ----
-    const std::size_t count = records.size();
-    aceFlag.assign(count, 0);
-    lastAceRead.assign(count, 0);
-
-    for (std::size_t i = count; i-- > 0;) {
-        const Record &rec = records[i];
-        bool ace = rec.failurePoint || aceFlag[i];
-        aceFlag[i] = ace ? 1 : 0;
-        if (!ace)
-            continue;
-        for (InstrSeq producer : rec.srcProducer) {
-            if (producer == invalidSeq || producer < baseSeq)
-                continue;
-            std::size_t idx =
-                static_cast<std::size_t>(producer - baseSeq);
-            avf_assert(idx < i, "producer does not precede consumer");
-            aceFlag[idx] = 1;
-            if (rec.issueCycle > lastAceRead[idx])
-                lastAceRead[idx] = rec.issueCycle;
-        }
-    }
-
     // ---- attribute and drop the prefix that retired before `end` ----
+    // The marks are current: onRetire() keeps them at the fixpoint.
+    const std::size_t count = records.size();
     const int int_regs = pipeline.numIntPhysRegs();
     std::size_t drop = 0;
     while (drop < count && records[drop].retireCycle < end) {
@@ -155,8 +169,10 @@ AceAnalyzer::finalizeInterval()
         ++drop;
     }
 
-    records.erase(records.begin(),
-                  records.begin() + static_cast<std::ptrdiff_t>(drop));
+    const auto cut = static_cast<std::ptrdiff_t>(drop);
+    records.erase(records.begin(), records.begin() + cut);
+    aceFlag.erase(aceFlag.begin(), aceFlag.begin() + cut);
+    lastAceRead.erase(lastAceRead.begin(), lastAceRead.begin() + cut);
     baseSeq += drop;
 
     // Bucket (nextFinalize - 1) can no longer receive spans: emit it.

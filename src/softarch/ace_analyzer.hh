@@ -6,13 +6,15 @@
  *
  * The analyzer logs one record per retired dynamic instruction (the
  * simulator is trace-driven, so retirement order equals program
- * order and sequence numbers index the log directly). Periodically it
- * runs an exact *backward* dataflow pass over the log: an instruction
+ * order and sequence numbers index the log directly). An instruction
  * is ACE iff it retires through a failure point (load/store/branch,
  * the same conservative definition of Section 3.2 the online method
- * uses) or any reader of its destination value is ACE. From the ACE
- * marks and the logged stage timestamps it integrates, per
- * estimation interval:
+ * uses) or any reader of its destination value is ACE. The marks are
+ * kept at retire time: a record that turns ACE marks its buffered
+ * producers through a worklist, reaching the same least fixpoint as
+ * an exact backward dataflow pass over the log, with O(1) work per
+ * record. From the ACE marks and the logged stage timestamps it
+ * integrates, per estimation interval:
  *
  *  - REG AVF: cycles each integer physical register holds an ACE
  *    value (writeback to last ACE read), over 80 registers;
@@ -85,6 +87,19 @@ class AceAnalyzer : public cpu::PipelineObserver
     AceAnalyzer(const cpu::Pipeline &pipe,
                 SoftArchConfig config = SoftArchConfig{});
 
+    unsigned
+    hooks() const override
+    {
+        return cpu::hookRetire | cpu::hookCycle;
+    }
+    /** The cycle the next interval's lookahead has passed. */
+    Cycle
+    wakeAt() const override
+    {
+        return (static_cast<Cycle>(nextFinalize) + 1) *
+                   conf.intervalCycles +
+               conf.lookahead;
+    }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
@@ -127,7 +142,11 @@ class AceAnalyzer : public cpu::PipelineObserver
         std::array<double, core::numStructures> aceCycles{};
     };
 
-    /** Run the backward ACE pass and attribute one interval. */
+    /** Mark record @p idx ACE and propagate to its producers. */
+    void markAce(std::size_t idx);
+
+    /** Attribute the records that retired in one interval, drop
+     *  them. */
     void finalizeInterval();
 
     /** Add span [lo, hi) of structure @p s to buckets, scaled by
@@ -152,9 +171,12 @@ class AceAnalyzer : public cpu::PipelineObserver
     std::vector<Bucket> buckets;
     std::vector<SoftArchAvf> output;
 
-    // scratch for the backward pass (reused across finalizations)
+    /** Per record: ACE mark, and the issue cycle of its last ACE
+     *  reader (0 when none). Parallel to `records`. */
     std::vector<std::uint8_t> aceFlag;
     std::vector<Cycle> lastAceRead;
+    /** Records turned ACE whose producers are not yet marked. */
+    std::vector<std::size_t> worklist;
 };
 
 } // namespace avf::softarch

@@ -1,15 +1,18 @@
 /**
  * @file
- * Division-free periodic trigger for per-cycle observers. The
- * estimators all ask "is `now` at my interval boundary?" every
- * cycle; asked with `now % period` that is a 64-bit division on the
- * hottest loop in the simulator. IntervalTicker answers the same
- * question with a decrement and a compare by exploiting the only
- * call pattern the pipeline produces: consecutive cycle numbers, one
- * tick per cycle.
+ * Division-free periodic trigger for event-driven observers. The
+ * estimators all ask "is `now` at my interval boundary?"; asked with
+ * `now % period` that is a 64-bit division. IntervalTicker keeps the
+ * absolute next firing cycle instead, so the question is one compare,
+ * and due() hands that cycle to the pipeline as the observer's wake
+ * cycle (cpu::PipelineObserver::wakeAt): an observer is called only
+ * on its boundaries, not every cycle.
  *
- * The first tick computes the phase once (one division total), so a
- * ticker attached mid-run stays exact.
+ * tick() may be called on any strictly increasing sequence of
+ * cycles, every cycle or only the due ones. A call that lands past
+ * the pending firing cycle (the first call of a ticker attached
+ * mid-run) realigns with one division, so the answer stays exactly
+ * `now % period == phase`.
  */
 
 #ifndef AVF_UTIL_INTERVAL_TICKER_HH
@@ -34,39 +37,38 @@ class IntervalTicker
         : interval(period)
     {
         avf_assert(period > 0, "ticker period must be positive");
-        residue = phase % period;
+        next = phase % period;
     }
 
-    /**
-     * Advance one cycle. Must be called with consecutive values of
-     * @p now (the pipeline observer contract); only the first call
-     * may start anywhere.
-     */
+    /** True when @p now is a firing cycle; advances past it. */
     bool
     tick(Cycle now)
     {
-        if (!primed) {
+        if (now < next)
+            return false;
+        if (now > next) {
+            // Skipped past the pending firing cycle: realign to the
+            // first firing cycle at or after now.
+            Cycle residue = next % interval;
             Cycle mod = now % interval;
-            remaining = mod <= residue ? residue - mod
-                                       : interval - mod + residue;
-            primed = true;
+            next = now + (mod <= residue ? residue - mod
+                                         : interval - mod + residue);
+            if (now != next)
+                return false;
         }
-        if (remaining == 0) {
-            remaining = interval - 1;
-            return true;
-        }
-        --remaining;
-        return false;
+        next += interval;
+        return true;
     }
+
+    /** The next cycle tick() fires on (once aligned). */
+    Cycle due() const { return next; }
 
     /** The configured period. */
     Cycle period() const { return interval; }
 
   private:
     Cycle interval;
-    Cycle residue = 0;
-    Cycle remaining = 0;
-    bool primed = false;
+    Cycle next;
 };
 
 } // namespace avf

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -1090,8 +1092,13 @@ class AvflintCollectFiles : public ::testing::Test
     SetUp() override
     {
         namespace fs = std::filesystem;
-        root = fs::temp_directory_path() / "avflint_collect_test";
-        fs::remove_all(root);
+        // A fresh directory per test: ctest -j runs the tests of this
+        // fixture in parallel processes.
+        std::string templ =
+            (fs::temp_directory_path() / "avflint_collect_XXXXXX")
+                .string();
+        ASSERT_NE(::mkdtemp(templ.data()), nullptr);
+        root = templ;
         for (const char *dir :
              {"src/sub", "build", "build-release", ".git", "results"})
             fs::create_directories(root / dir);

@@ -243,6 +243,55 @@ TEST(IntervalTicker, FirstTickMayStartMidStream)
     }
 }
 
+TEST(IntervalTicker, DueOnlyCallsMatchModuloReference)
+{
+    // The pipeline calls an observer only once now >= due(): every
+    // firing cycle must still be reached and fire, and no cycle
+    // before due() may be a firing cycle. Covers starts before and
+    // after the first firing cycle (an observer attached mid-run).
+    for (Cycle period : {Cycle{1}, Cycle{2}, Cycle{7}, Cycle{1000}}) {
+        for (Cycle phase : {Cycle{0}, Cycle{1}, period - 1}) {
+            for (Cycle start : {Cycle{0}, Cycle{5}, 3 * period + 1}) {
+                IntervalTicker ticker(period, phase);
+                std::uint64_t fired = 0;
+                std::uint64_t expected = 0;
+                for (Cycle now = start; now < start + 6 * period + 5;
+                     ++now) {
+                    const bool reference =
+                        now % period == phase % period;
+                    expected += reference;
+                    if (now < ticker.due()) {
+                        EXPECT_FALSE(reference)
+                            << "slept through cycle " << now;
+                        continue;
+                    }
+                    const bool fires = ticker.tick(now);
+                    EXPECT_EQ(fires, reference)
+                        << "period " << period << " phase " << phase
+                        << " start " << start << " cycle " << now;
+                    fired += fires;
+                    EXPECT_GT(ticker.due(), now);
+                }
+                EXPECT_EQ(fired, expected);
+            }
+        }
+    }
+}
+
+TEST(IntervalTicker, ExtraCallsBeforeDueAreHarmless)
+{
+    // A second call on the firing cycle, or any call before due(),
+    // returns false and leaves the schedule alone.
+    IntervalTicker ticker(10, 3);
+    EXPECT_FALSE(ticker.tick(2));
+    EXPECT_EQ(ticker.due(), 3u);
+    EXPECT_TRUE(ticker.tick(3));
+    EXPECT_FALSE(ticker.tick(3));
+    EXPECT_EQ(ticker.due(), 13u);
+    EXPECT_FALSE(ticker.tick(12));
+    EXPECT_TRUE(ticker.tick(13));
+}
+
 TEST(IntervalTickerDeathTest, RejectsZeroPeriod)
 {
     EXPECT_DEATH(IntervalTicker ticker(0),

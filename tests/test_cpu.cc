@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cpu/pipeline.hh"
 #include "test_helpers.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
+#include "util/interval_ticker.hh"
 
 namespace
 {
@@ -380,6 +383,139 @@ TEST(Pipeline, DispatchGroupWidthBoundsRetirement)
     // At most 5 retire per cycle; at least 20 cycles must elapse.
     EXPECT_GE(pipe.stats().cycles, 20u);
     EXPECT_EQ(pipe.stats().retired, 100u);
+}
+
+// ---- event-driven observer dispatch ----
+
+/** Counts every hook it receives; declares only @c mask. */
+class HookCounter : public PipelineObserver
+{
+  public:
+    explicit HookCounter(unsigned mask) : mask(mask) {}
+    unsigned hooks() const override { return mask; }
+    void onDispatch(const DynInstr &) override { ++dispatches; }
+    void onIssue(const DynInstr &) override { ++issues; }
+    void onComplete(const DynInstr &) override { ++completes; }
+    void onRetire(const DynInstr &, const RetireInfo &) override
+    {
+        ++retires;
+    }
+    void onCycle(Cycle) override { ++cycles; }
+
+    unsigned mask;
+    std::uint64_t dispatches = 0;
+    std::uint64_t issues = 0;
+    std::uint64_t completes = 0;
+    std::uint64_t retires = 0;
+    std::uint64_t cycles = 0;
+};
+
+TEST(Pipeline, ObserversReceiveOnlyDeclaredHooks)
+{
+    // Nops complete at dispatch, which is its own onComplete site.
+    std::vector<trace::TraceInstruction> instrs;
+    for (int i = 0; i < 60; ++i)
+        instrs.push_back(i % 3 ? alu(static_cast<RegIndex>(4 + i % 20),
+                                     1, 2)
+                               : nop());
+    trace::VectorTraceSource src(withPcs(std::move(instrs)));
+    Pipeline pipe(table1(), src);
+    HookCounter retire_only(hookRetire);
+    HookCounter all(hookAll);
+    pipe.addObserver(&retire_only);
+    pipe.addObserver(&all);
+    drain(pipe);
+
+    const auto &stats = pipe.stats();
+    EXPECT_EQ(retire_only.dispatches, 0u);
+    EXPECT_EQ(retire_only.issues, 0u);
+    EXPECT_EQ(retire_only.completes, 0u);
+    EXPECT_EQ(retire_only.cycles, 0u);
+    EXPECT_EQ(retire_only.retires, 60u);
+
+    EXPECT_EQ(all.dispatches, stats.dispatched);
+    EXPECT_EQ(all.issues, 40u);
+    EXPECT_EQ(all.completes, 60u);
+    EXPECT_EQ(all.retires, 60u);
+    EXPECT_EQ(all.cycles, stats.cycles);
+}
+
+/** Logs (cycle, id) on the cycles its period asks for. */
+class PeriodicLogger : public PipelineObserver
+{
+  public:
+    PeriodicLogger(int id, Cycle period, Cycle phase,
+                   std::vector<std::pair<Cycle, int>> &log)
+        : id(id), ticker(period, phase), log(log)
+    {
+    }
+    unsigned hooks() const override { return hookCycle; }
+    Cycle wakeAt() const override { return ticker.due(); }
+    void
+    onCycle(Cycle now) override
+    {
+        if (!ticker.tick(now))
+            return;
+        // Test-only log. avflint: allow(hot-path-alloc)
+        log.emplace_back(now, id);
+    }
+
+  private:
+    int id;
+    IntervalTicker ticker;
+    std::vector<std::pair<Cycle, int>> &log;
+};
+
+/** Declares the cycle hook but never asks to be woken. */
+class NeverWakes : public HookCounter
+{
+  public:
+    NeverWakes() : HookCounter(hookCycle) {}
+    Cycle wakeAt() const override { return neverCycle; }
+};
+
+TEST(Pipeline, DueObserversRunInAttachOrder)
+{
+    trace::SyntheticTraceGenerator gen(trace::specProfile("mesa"));
+    Pipeline pipe(table1(), gen);
+    std::vector<std::pair<Cycle, int>> log;
+    PeriodicLogger every3(0, 3, 0, log);
+    PeriodicLogger every(1, 1, 0, log);
+    PeriodicLogger every7(2, 7, 4, log);
+    NeverWakes never;
+    pipe.addObserver(&every3);
+    pipe.addObserver(&never);
+    pipe.addObserver(&every);
+    pipe.addObserver(&every7);
+    pipe.run(100);
+
+    std::vector<std::pair<Cycle, int>> expected;
+    for (Cycle now = 0; now < 100; ++now) {
+        if (now % 3 == 0)
+            expected.emplace_back(now, 0);
+        expected.emplace_back(now, 1);
+        if (now % 7 == 4)
+            expected.emplace_back(now, 2);
+    }
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(never.cycles, 0u);
+}
+
+TEST(Pipeline, ObserverAttachedMidRunAligns)
+{
+    // A ticker attached late starts out due (its first firing cycle
+    // has passed) and realigns on its first call, so it still fires
+    // on exactly the cycles its period names.
+    trace::SyntheticTraceGenerator gen(trace::specProfile("mesa"));
+    Pipeline pipe(table1(), gen);
+    pipe.run(53);
+    std::vector<std::pair<Cycle, int>> log;
+    PeriodicLogger every10(0, 10, 0, log);
+    pipe.addObserver(&every10);
+    pipe.run(60);
+    std::vector<std::pair<Cycle, int>> expected = {
+        {60, 0}, {70, 0}, {80, 0}, {90, 0}, {100, 0}, {110, 0}};
+    EXPECT_EQ(log, expected);
 }
 
 } // namespace

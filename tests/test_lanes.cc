@@ -7,7 +7,9 @@
  * lane-parallel campaigns (lanes=64) agree statistically with the
  * serial estimator (lanes=1); and the METRICS.json bytes of a
  * lanes=64 campaign are identical at 1 and 8 workers. Plus the
- * AVF_LANES fail-fast validation contract.
+ * AVF_LANES fail-fast validation contract, and the event-driven
+ * observer dispatch: the harness roster run with every observer
+ * behind an all-hooks, every-cycle proxy gives bit-identical results.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,6 +33,7 @@
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
 #include "harness/export.hh"
+#include "harness/task_codec.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
 #include "util/error_plane.hh"
@@ -306,6 +310,126 @@ TEST(LaneEquivalence, AvfLanesEnvIsValidatedFailFast)
     ::setenv("AVF_LANES", "8moo", 1);
     EXPECT_DEATH(loadRunOptions(), "not an integer");
     ::unsetenv("AVF_LANES");
+}
+
+// ---------------------------------------------------------------- //
+// Event-driven dispatch: skipping non-due observers changes nothing //
+// ---------------------------------------------------------------- //
+
+/**
+ * Forwards every hook to one observer and declares nothing, so the
+ * pipeline calls it on every event and every cycle: the all-hooks
+ * fallback path, which also hands each inner observer extra onCycle
+ * calls before its wake cycle.
+ */
+class EveryHookProxy : public cpu::PipelineObserver
+{
+  public:
+    explicit EveryHookProxy(cpu::PipelineObserver &inner) : inner(inner)
+    {
+    }
+    void onDispatch(const cpu::DynInstr &d) override
+    {
+        inner.onDispatch(d);
+    }
+    void onIssue(const cpu::DynInstr &d) override { inner.onIssue(d); }
+    void onComplete(const cpu::DynInstr &d) override
+    {
+        inner.onComplete(d);
+    }
+    void
+    onRetire(const cpu::DynInstr &d, const cpu::RetireInfo &info) override
+    {
+        inner.onRetire(d, info);
+    }
+    void onCycle(Cycle now) override { inner.onCycle(now); }
+    void
+    onErrorHop(const cpu::DynInstr &d, ErrorMask bits,
+               cpu::ErrorHop hop) override
+    {
+        inner.onErrorHop(d, bits, hop);
+    }
+
+  private:
+    cpu::PipelineObserver &inner;
+};
+
+/** The run's full result in the bit-exact wire encoding. */
+std::string
+encodedRun(const ExperimentConfig &conf, bool proxied)
+{
+    TaskResult task;
+    task.name = conf.profile.name;
+    std::vector<std::unique_ptr<EveryHookProxy>> proxies;
+    if (proxied) {
+        task.result = detail::runExperimentDirect(
+            conf, [&](cpu::Pipeline &pipe, cpu::PipelineObserver &obs) {
+                proxies.push_back(std::make_unique<EveryHookProxy>(obs));
+                pipe.addObserver(proxies.back().get());
+            });
+    } else {
+        task.result = detail::runExperimentDirect(conf);
+    }
+    return codec::encodeTaskResult(task);
+}
+
+ExperimentConfig
+dispatchConfig(int lanes)
+{
+    ExperimentConfig conf;
+    conf.profile = trace::specProfile("mesa");
+    conf.online.m = 200;
+    conf.online.n = 120;
+    conf.online.lanes = lanes;
+    conf.numIntervals = 3;
+    conf.lookahead = 4'096;
+    conf.metrics = true;
+    conf.snapshotEstimators = true;
+    return conf;
+}
+
+void
+expectProxiedRunIdentical(const ExperimentConfig &conf)
+{
+    const std::string direct = encodedRun(conf, false);
+    ASSERT_NE(direct.find("\"intervals\":[{"), std::string::npos);
+    EXPECT_EQ(direct, encodedRun(conf, true));
+}
+
+TEST(ObserverDispatch, ProxiedRosterBitIdenticalSerial)
+{
+    expectProxiedRunIdentical(dispatchConfig(1));
+}
+
+TEST(ObserverDispatch, ProxiedRosterBitIdenticalLanes64)
+{
+    expectProxiedRunIdentical(dispatchConfig(64));
+}
+
+TEST(ObserverDispatch, ProxiedRosterBitIdenticalRandomizedTiming)
+{
+    for (int lanes : {1, 64}) {
+        ExperimentConfig conf = dispatchConfig(lanes);
+        conf.online.randomizeInjectionTiming = true;
+        conf.online.fieldGranularIq = true;
+        expectProxiedRunIdentical(conf);
+    }
+}
+
+TEST(ObserverDispatch, ProxiedRosterBitIdenticalLifecycleAttribution)
+{
+    ExperimentConfig conf = dispatchConfig(64);
+    conf.lifecycle.enabled = true;
+    conf.attribution.enabled = true;
+    expectProxiedRunIdentical(conf);
+}
+
+TEST(ObserverDispatch, ProxiedRosterBitIdenticalControl)
+{
+    ExperimentConfig conf = dispatchConfig(64);
+    conf.control.enabled = true;
+    conf.control.reportLatencyCycles = 300;
+    expectProxiedRunIdentical(conf);
 }
 
 // Out-of-range lane requests are rejected at the experiment layer

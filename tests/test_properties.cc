@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -108,6 +109,14 @@ struct MachineVariant
     const char *name;
     CpuConfig config;
 };
+
+// Without this gtest prints the raw bytes of the variant, whose first
+// field is a pointer, so the test names would change with every build.
+void
+PrintTo(const MachineVariant &variant, std::ostream *os)
+{
+    *os << variant.name;
+}
 
 MachineVariant
 narrowMachine()

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cpu/pipeline.hh"
@@ -15,6 +19,7 @@
 #include "test_helpers.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -282,6 +287,272 @@ TEST(AceAnalyzer, DeterministicAcrossRuns)
     for (std::size_t i = 0; i < a.size(); ++i)
         for (int s = 0; s < numStructures; ++s)
             EXPECT_DOUBLE_EQ(a[i].avf[s], b[i].avf[s]);
+}
+
+// ---- retire-time marking vs the backward pass ----
+
+/**
+ * The analyzer's former algorithm, kept here as the reference: log
+ * every retirement, and at each finalization run an exact backward
+ * dataflow pass over the whole buffer, then attribute and drop the
+ * prefix that retired before the interval's end. The retire-time
+ * worklist marking must reproduce its output bit for bit.
+ */
+class BackwardPassReference : public PipelineObserver
+{
+  public:
+    BackwardPassReference(const Pipeline &pipe, SoftArchConfig config)
+        : pipeline(pipe), conf(config)
+    {
+    }
+
+    void
+    onRetire(const DynInstr &instr, const RetireInfo &) override
+    {
+        Record rec;
+        rec.dispatchCycle = instr.dispatchCycle;
+        rec.issueCycle = instr.issueCycle;
+        rec.completeCycle = instr.completeCycle;
+        rec.retireCycle = instr.retireCycle;
+        rec.srcProducer = instr.srcProducer;
+        rec.destPhys = instr.destPhys;
+        rec.numSrcs = instr.in.numSrcs();
+        rec.inIq = instr.iqGlobalEntry >= 0;
+        rec.failurePoint = instr.isFailurePoint();
+        rec.fu = instr.fu;
+        // Test-only log. avflint: allow(hot-path-alloc)
+        records.push_back(rec);
+    }
+
+    void
+    onCycle(Cycle now) override
+    {
+        while (now >= (static_cast<Cycle>(nextFinalize) + 1) *
+                          conf.intervalCycles +
+                          conf.lookahead)
+            finalizeInterval();
+    }
+
+    void
+    finalizeAll(std::size_t throughInterval)
+    {
+        while (nextFinalize <= throughInterval + 1)
+            finalizeInterval();
+    }
+
+    std::vector<std::array<double, numStructures>> output;
+
+  private:
+    struct Record
+    {
+        Cycle dispatchCycle;
+        Cycle issueCycle;
+        Cycle completeCycle;
+        Cycle retireCycle;
+        std::array<InstrSeq, 3> srcProducer;
+        int destPhys;
+        int numSrcs;
+        bool inIq;
+        bool failurePoint;
+        FuClass fu;
+    };
+
+    void
+    addSpan(Structure s, Cycle lo, Cycle hi, double weight = 1.0)
+    {
+        if (hi <= lo || weight <= 0.0)
+            return;
+        auto first = static_cast<std::size_t>(lo / conf.intervalCycles);
+        auto last =
+            static_cast<std::size_t>((hi - 1) / conf.intervalCycles);
+        if (last >= buckets.size())
+            buckets.resize(last + 1);
+        for (std::size_t b = first; b <= last; ++b) {
+            Cycle bucket_lo = static_cast<Cycle>(b) * conf.intervalCycles;
+            Cycle ov_lo = std::max(lo, bucket_lo);
+            Cycle ov_hi = std::min(hi, bucket_lo + conf.intervalCycles);
+            buckets[b][static_cast<std::size_t>(s)] +=
+                static_cast<double>(ov_hi - ov_lo) * weight;
+        }
+    }
+
+    void
+    finalizeInterval()
+    {
+        const Cycle end = (static_cast<Cycle>(nextFinalize) + 1) *
+                          conf.intervalCycles;
+        const std::size_t count = records.size();
+        // Test-only reference: fresh scratch per finalization.
+        // avflint: allow(hot-path-alloc)
+        std::vector<std::uint8_t> ace(count, 0);
+        // avflint: allow(hot-path-alloc)
+        std::vector<Cycle> last_read(count, 0);
+        for (std::size_t i = count; i-- > 0;) {
+            const Record &rec = records[i];
+            if (!(rec.failurePoint || ace[i]))
+                continue;
+            ace[i] = 1;
+            for (InstrSeq producer : rec.srcProducer) {
+                if (producer == invalidSeq || producer < baseSeq)
+                    continue;
+                auto idx = static_cast<std::size_t>(producer - baseSeq);
+                ace[idx] = 1;
+                last_read[idx] = std::max(last_read[idx], rec.issueCycle);
+            }
+        }
+
+        const int int_regs = pipeline.numIntPhysRegs();
+        std::size_t drop = 0;
+        for (; drop < count && records[drop].retireCycle < end; ++drop) {
+            const Record &rec = records[drop];
+            if (rec.inIq && (rec.failurePoint || ace[drop])) {
+                double weight = 1.0;
+                if (conf.fieldGranularIq)
+                    weight = (1.0 + rec.numSrcs) /
+                             Pipeline::iqFieldsPerEntry;
+                addSpan(Structure::IQ, rec.dispatchCycle,
+                        rec.issueCycle, weight);
+            }
+            if (rec.destPhys >= 0 && last_read[drop] > rec.completeCycle)
+                addSpan(rec.destPhys < int_regs ? Structure::REG
+                                                : Structure::FREG,
+                        rec.completeCycle, last_read[drop]);
+            if (ace[drop] && !rec.failurePoint) {
+                if (rec.fu == FuClass::Fxu)
+                    addSpan(Structure::FXU, rec.issueCycle,
+                            rec.completeCycle);
+                else if (rec.fu == FuClass::Fpu)
+                    addSpan(Structure::FPU, rec.issueCycle,
+                            rec.completeCycle);
+            }
+        }
+        records.erase(records.begin(),
+                      records.begin() +
+                          static_cast<std::ptrdiff_t>(drop));
+        baseSeq += drop;
+
+        if (nextFinalize >= 1)
+            emit(nextFinalize - 1);
+        ++nextFinalize;
+    }
+
+    void
+    emit(std::size_t idx)
+    {
+        if (idx >= buckets.size())
+            buckets.resize(idx + 1);
+        const auto &cpu = pipeline.config();
+        const double len = static_cast<double>(conf.intervalCycles);
+        const double sizes[numStructures] = {
+            static_cast<double>(cpu.totalIqEntries()),
+            static_cast<double>(pipeline.numIntPhysRegs()),
+            static_cast<double>(cpu.numFxu),
+            static_cast<double>(cpu.numFpu),
+            static_cast<double>(cpu.fpPhysRegs)};
+        std::array<double, numStructures> row{};
+        for (int s = 0; s < numStructures; ++s)
+            row[static_cast<std::size_t>(s)] =
+                buckets[idx][static_cast<std::size_t>(s)] /
+                (len * sizes[s]);
+        // One row per interval. avflint: allow(hot-path-alloc)
+        output.push_back(row);
+    }
+
+    const Pipeline &pipeline;
+    SoftArchConfig conf;
+    std::vector<Record> records;
+    InstrSeq baseSeq = 0;
+    std::size_t nextFinalize = 0;
+    std::vector<std::array<double, numStructures>> buckets;
+};
+
+/** Random straight-line code over a few registers: long chains,
+ *  dead values, and loads/stores/branches as failure points. */
+std::vector<trace::TraceInstruction>
+randomTrace(std::uint64_t seed, std::size_t length)
+{
+    Rng rng(seed);
+    auto int_reg = [&] { return static_cast<RegIndex>(1 + rng.below(10)); };
+    auto fp_reg = [&] { return static_cast<RegIndex>(32 + rng.below(8)); };
+    std::vector<trace::TraceInstruction> out;
+    out.reserve(length);
+    for (std::size_t i = 0; i < length; ++i) {
+        auto addr = static_cast<Addr>(0x10000 + 8 * rng.below(512));
+        switch (rng.below(10)) {
+          case 0: out.push_back(load(int_reg(), int_reg(), addr)); break;
+          case 1: out.push_back(store(int_reg(), int_reg(), addr)); break;
+          case 2: out.push_back(branch(int_reg())); break;
+          case 3:
+          case 4: out.push_back(fp(fp_reg(), fp_reg(), fp_reg())); break;
+          case 5: out.push_back(nop()); break;
+          default:
+            out.push_back(alu(int_reg(), int_reg(), int_reg()));
+            break;
+        }
+    }
+    return withPcs(std::move(out));
+}
+
+/** Run both analyzers over one trace; expect bit-identical rows. */
+void
+expectMatchesBackwardPass(trace::TraceSource &src, SoftArchConfig conf,
+                          Cycle cycles)
+{
+    Pipeline pipe(CpuConfig{}, src);
+    AceAnalyzer analyzer(pipe, conf);
+    BackwardPassReference reference(pipe, conf);
+    pipe.addObserver(&analyzer);
+    pipe.addObserver(&reference);
+    pipe.run(cycles);
+    const auto intervals =
+        static_cast<std::size_t>(cycles / conf.intervalCycles);
+    ASSERT_GT(intervals, 1u);
+    analyzer.finalizeAll(intervals - 1);
+    reference.finalizeAll(intervals - 1);
+
+    ASSERT_EQ(analyzer.results().size(), reference.output.size());
+    for (std::size_t k = 0; k < reference.output.size(); ++k)
+        for (int s = 0; s < numStructures; ++s)
+            EXPECT_EQ(analyzer.results()[k].avf[static_cast<std::size_t>(s)],
+                      reference.output[k][static_cast<std::size_t>(s)])
+                << "interval " << k << " structure " << s;
+}
+
+TEST(AceAnalyzer, RetireTimeMarkingMatchesBackwardPass)
+{
+    // Synthetic workloads with fresh seeds, both IQ granularities,
+    // and lookaheads below, at and above the interval length.
+    Rng seeds(20080621);
+    for (const char *app : {"bzip2", "mesa", "swim", "lucas"}) {
+        for (bool field_iq : {false, true}) {
+            for (Cycle lookahead : {Cycle{700}, Cycle{3000}, Cycle{9000}}) {
+                trace::WorkloadProfile profile = trace::specProfile(app);
+                profile.seed = seeds.next();
+                trace::SyntheticTraceGenerator gen(profile);
+                SoftArchConfig conf;
+                conf.intervalCycles = 3000;
+                conf.lookahead = lookahead;
+                conf.fieldGranularIq = field_iq;
+                SCOPED_TRACE(std::string(app) + " lookahead " +
+                             std::to_string(lookahead) +
+                             (field_iq ? " field-IQ" : ""));
+                expectMatchesBackwardPass(gen, conf, 3000 * 6 + 500);
+            }
+        }
+    }
+}
+
+TEST(AceAnalyzer, RetireTimeMarkingMatchesBackwardPassRandomCode)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        trace::VectorTraceSource src(randomTrace(seed, 20000));
+        SoftArchConfig conf;
+        conf.intervalCycles = 500;
+        conf.lookahead = seed % 2 ? 200 : 1200;
+        conf.fieldGranularIq = seed % 3 == 0;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectMatchesBackwardPass(src, conf, 500 * 8);
+    }
 }
 
 } // namespace
