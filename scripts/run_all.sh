@@ -7,7 +7,13 @@
 # Environment:
 #   AVF_FAST=1        shrink everything to a smoke run (~2 min)
 #   AVF_INTERVALS=N   intervals per app for fig3/fig4/fig5
+#   AVF_LANES=L       injection lanes per estimator; defaults to 1 here
+#                     (the paper's serial Algorithm 1, the mode the
+#                     committed results/ files come from), not to the
+#                     benches' own default of 64
 set -euo pipefail
+
+export AVF_LANES="${AVF_LANES:-1}"
 
 cd "$(dirname "$0")/.."
 RESULTS="${1:-results}"

@@ -1,6 +1,8 @@
 #include "core/injection_port.hh"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -46,17 +48,6 @@ InjectionPort::reserveLane(LaneId lane)
     avf_assert(!state.reserved, "lane %d reserved twice", lane);
     state.reserved = true;
     reservedLanes |= laneBit(lane);
-}
-
-std::vector<LaneId>
-InjectionPort::reserveLanes(int count)
-{
-    avf_assert(count > 0, "lane reservation count must be positive");
-    std::vector<LaneId> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        out.push_back(reserveLane());
-    return out;
 }
 
 int
@@ -181,6 +172,30 @@ InjectionPort::clearLanes(ErrorMask mask)
     pipeline.clearErrorChannels(mask);
 }
 
+int
+InjectionPort::numSlots(const Site &site) const
+{
+    switch (site.kind) {
+      case Site::Kind::Dtlb: return pipeline.numDtlbSlots();
+      case Site::Kind::FetchBuf: return pipeline.numFetchBufSlots();
+      case Site::Kind::RenameMap: return pipeline.numRenameMapSlots();
+      case Site::Kind::BranchPred: return pipeline.numBranchPredSlots();
+      case Site::Kind::Structure: break;
+    }
+    switch (site.structure) {
+      case Structure::REG: return pipeline.numIntPhysRegs();
+      case Structure::FREG: return pipeline.config().fpPhysRegs;
+      case Structure::IQ:
+        return site.field >= 0 ? pipeline.totalIqEntries() *
+                                     cpu::Pipeline::iqFieldsPerEntry
+                               : pipeline.totalIqEntries();
+      case Structure::FXU: return pipeline.config().numFxu;
+      case Structure::FPU: return pipeline.config().numFpu;
+      default: break;
+    }
+    panic("injection site bound to invalid structure");
+}
+
 bool
 InjectionPort::failureSeen(const WindowHandle &handle) const
 {
@@ -205,6 +220,36 @@ InjectionPort::onRetire(const cpu::DynInstr &instr,
         state.failOp = static_cast<int>(instr.in.op);
         failedLanes |= laneBit(lane);
     }
+}
+
+SiteCursor::SiteCursor(const InjectionPort &port, const Site &site)
+    : target(site), slots(port.numSlots(site))
+{
+    avf_assert(slots > 0, "injection target has no slots");
+}
+
+Site
+SiteCursor::next()
+{
+    Site site = target;
+    if (target.field >= 0) {
+        site.entry = pos / cpu::Pipeline::iqFieldsPerEntry;
+        site.field = pos % cpu::Pipeline::iqFieldsPerEntry;
+    } else {
+        site.entry = pos;
+    }
+    pos = (pos + 1) % slots;
+    return site;
+}
+
+void
+SiteCursor::seek(int position)
+{
+    if (position < 0 || position >= slots)
+        throw std::invalid_argument(
+            "site cursor " + std::to_string(position) +
+            " outside 0.." + std::to_string(slots - 1));
+    pos = position;
 }
 
 } // namespace avf::core

@@ -39,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "core/structures.hh"
 #include "cpu/observer.hh"
@@ -150,9 +149,6 @@ class InjectionPort : public cpu::PipelineObserver
     /** Reserve a specific lane (legacy channel pinning). */
     void reserveLane(LaneId lane);
 
-    /** Reserve @p count lowest free lanes, in ascending order. */
-    std::vector<LaneId> reserveLanes(int count);
-
     /** Lanes still unreserved. */
     int freeLanes() const;
 
@@ -180,6 +176,15 @@ class InjectionPort : public cpu::PipelineObserver
      * of a boundary, then clear their union once.
      */
     void clearLanes(ErrorMask mask);
+
+    /**
+     * Injection slots @p site's target holds: physical registers for
+     * REG/FREG, IQ entries (times Pipeline::iqFieldsPerEntry when
+     * site.field >= 0 selects field granularity), units for FXU/FPU,
+     * and the slot counts of the dTLB, fetch buffer, rename map and
+     * branch predictor. The round-robin modulus of every estimator.
+     */
+    int numSlots(const Site &site) const;
 
     /** True when @p handle's window has latched a failure so far. */
     bool failureSeen(const WindowHandle &handle) const;
@@ -224,6 +229,37 @@ class InjectionPort : public cpu::PipelineObserver
     ErrorMask reservedLanes = 0;
     ErrorMask openLanes = 0;
     ErrorMask failedLanes = 0;
+};
+
+/**
+ * Round-robin walk over every slot of one target: the paper's
+ * hardware-friendly approximation of random sampling (Section 3.3).
+ * next() yields the site at the cursor and advances it; field-
+ * granular IQ slots split into (entry, field) pairs.
+ */
+class SiteCursor
+{
+  public:
+    /**
+     * @param target kind and structure to walk (field >= 0 selects
+     *        field-granular IQ); its slot count is read once.
+     */
+    SiteCursor(const InjectionPort &port, const Site &target);
+
+    /** The site at the cursor; advances the cursor. */
+    Site next();
+
+    /** Cursor position, 0 .. slot count - 1. */
+    int position() const { return pos; }
+
+    /** Move the cursor (restore); out-of-range positions throw
+     *  std::invalid_argument. */
+    void seek(int position);
+
+  private:
+    Site target;
+    int slots;
+    int pos = 0;
 };
 
 } // namespace avf::core

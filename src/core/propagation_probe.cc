@@ -8,48 +8,20 @@ namespace avf::core
 PropagationProbe::PropagationProbe(cpu::Pipeline &pipe,
                                    Structure structure,
                                    ProbeConfig config)
-    : pipeline(pipe), target(structure), conf(config),
+    : conf(config),
       port(std::make_unique<InjectionPort>(pipe)),
+      sites(*port, Site{Site::Kind::Structure, structure}),
       lane(channelOf(structure))
 {
     avf_assert(conf.maxWait > 0, "probe maxWait must be positive");
     port->reserveLane(lane);
 }
 
-Site
-PropagationProbe::nextSite()
-{
-    Site site;
-    site.structure = target;
-    site.entry = cursor;
-
-    switch (target) {
-      case Structure::REG:
-        cursor = (cursor + 1) % pipeline.numIntPhysRegs();
-        break;
-      case Structure::FREG:
-        cursor = (cursor + 1) % pipeline.config().fpPhysRegs;
-        break;
-      case Structure::IQ:
-        cursor = (cursor + 1) % pipeline.totalIqEntries();
-        break;
-      case Structure::FXU:
-        cursor = (cursor + 1) % pipeline.config().numFxu;
-        break;
-      case Structure::FPU:
-        cursor = (cursor + 1) % pipeline.config().numFpu;
-        break;
-      default:
-        panic("probe bound to invalid structure");
-    }
-    return site;
-}
-
 void
 PropagationProbe::inject(Cycle now)
 {
     port->clearLanes(laneBit(lane));
-    handle = port->open(lane, nextSite(), now);
+    handle = port->open(lane, sites.next(), now);
     windowOpen = true;
     injectCycle = now;
     ++injectionsFired;

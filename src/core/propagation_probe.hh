@@ -3,11 +3,13 @@
  * Measures the error-propagation-time distribution used to choose M
  * (Section 3.4, Figure 2): inject an error, record how many cycles it
  * takes to reach a failure point (or give up after a cap), clear, and
- * repeat. Unlike the estimator, the probe waits indefinitely (up to
- * the cap) rather than a fixed window, because its purpose is to
- * characterize the distribution that a good M must cover. Injections
- * go through the InjectionPort API on a single private lane pinned to
- * the structure's legacy channel bit.
+ * repeat. This is deliberately not a WindowedEstimator: instead of a
+ * fixed M-cycle window the probe waits until the failure (up to the
+ * cap), because its purpose is to characterize the distribution that
+ * a good M must cover. It shares the estimators' injection surface:
+ * the InjectionPort on a single private lane pinned to the
+ * structure's legacy channel bit, and a SiteCursor for the same
+ * round-robin sites.
  */
 
 #ifndef AVF_CORE_PROPAGATION_PROBE_HH
@@ -73,19 +75,17 @@ class PropagationProbe : public cpu::PipelineObserver
     bool finished() const { return samples.size() >= conf.targetSamples; }
 
   private:
-    Site nextSite();
     void inject(Cycle now);
 
-    cpu::Pipeline &pipeline;
-    Structure target;
     ProbeConfig conf;
 
     std::unique_ptr<InjectionPort> port;
+    /** Round-robin walk over the structure's entries/units. */
+    SiteCursor sites;
     LaneId lane;
     WindowHandle handle;
     bool windowOpen = false;
     Cycle injectCycle = 0;
-    int cursor = 0;
     std::uint64_t masked = 0;
     std::uint64_t injectionsFired = 0;
     std::vector<double> samples;

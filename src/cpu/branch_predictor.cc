@@ -32,7 +32,6 @@ BranchPredictor::predictAndUpdate(Addr pc, bool taken)
     // bits (correct state overwrites the flip). One summary-mask test
     // keeps the unarmed common case free.
     if (errAny != 0 && tableError[idx] != 0) {
-        killedBits |= tableError[idx];
         errAny &= ~tableError[idx];
         tableError[idx] = 0;
     }
@@ -72,7 +71,6 @@ BranchPredictor::errorAt(int slot) const
 void
 BranchPredictor::clearErrors(ErrorMask mask)
 {
-    killedBits &= ~mask;
     if ((errAny & mask) == 0)
         return;
     for (ErrorMask &bits : tableError)

@@ -65,11 +65,11 @@ class BranchPredictor
     // Predictor state is architecturally masked in this model: a
     // flipped counter can only change a prediction, never a retired
     // value, so an injected bit never reaches a failure point. It
-    // either dies when the next update overwrites its entry
-    // (tracked in killedBits) or survives untouched to the window
-    // close. The plane is pure metadata — predictions and timing are
-    // computed from the counters alone, so an armed plane perturbs
-    // nothing (the byte-identity contracts rely on that).
+    // either dies when the next update overwrites its entry or
+    // survives untouched to the window close. The plane is pure
+    // metadata — predictions and timing are computed from the
+    // counters alone, so an armed plane perturbs nothing (the
+    // byte-identity contracts rely on that).
 
     /** Counter-table slots available for injection. */
     int numSlots() const { return static_cast<int>(table.size()); }
@@ -84,13 +84,7 @@ class BranchPredictor
     /** Error bits currently resident on @p slot. */
     ErrorMask errorAt(int slot) const;
 
-    /**
-     * Lanes whose injected bits were overwritten by a counter update
-     * since the last clearErrors() of those lanes.
-     */
-    ErrorMask killedMask() const { return killedBits; }
-
-    /** Sweep @p mask lanes out of the plane and the killed latch. */
+    /** Sweep @p mask lanes out of the plane. */
     void clearErrors(ErrorMask mask);
 
   private:
@@ -104,8 +98,6 @@ class BranchPredictor
     std::vector<ErrorMask> tableError;
     /** Union of all resident bits: zero skips the hot-path check. */
     ErrorMask errAny = 0;
-    /** Lanes killed by counter updates since their last clear. */
-    ErrorMask killedBits = 0;
 };
 
 } // namespace avf::cpu

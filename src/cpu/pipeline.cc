@@ -918,12 +918,6 @@ Pipeline::branchPredErrorAt(int slot) const
     return predictor.errorAt(slot);
 }
 
-ErrorMask
-Pipeline::branchPredKilledMask() const
-{
-    return predictor.killedMask();
-}
-
 InjectOutcome
 Pipeline::injectDtlbError(int slot, ErrorMask mask)
 {

@@ -214,8 +214,7 @@ class Pipeline
      * Inject an error into branch-predictor counter slot @p slot.
      * Predictor state is architecturally masked (a flip can change
      * timing, never a retired value), so the bit either dies when an
-     * update overwrites its entry — query branchPredKilledMask() —
-     * or sits in the plane until swept.
+     * update overwrites its entry or sits in the plane until swept.
      */
     InjectOutcome injectBranchPredError(int slot, ErrorMask mask);
 
@@ -224,9 +223,6 @@ class Pipeline
 
     /** Error bits resident on predictor slot @p slot. */
     ErrorMask branchPredErrorAt(int slot) const;
-
-    /** Lanes whose predictor bits were overwritten by updates. */
-    ErrorMask branchPredKilledMask() const;
 
     // ---- dynamic adaptation knobs ----
 

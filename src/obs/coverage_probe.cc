@@ -1,26 +1,26 @@
 #include "obs/coverage_probe.hh"
 
-#include <stdexcept>
-
-#include "cpu/pipeline.hh"
 #include "obs/attribution.hh"
 #include "util/logging.hh"
 
 namespace avf::obs
 {
 
-using core::Site;
-
 namespace
 {
 
-/** Validate before any member (the boundary ticker) consumes M. */
-CoverageProbeConfig
-checked(CoverageProbeConfig config)
+core::Site
+probeSite(CoverageTarget target)
 {
-    avf_assert(config.m > 0 && config.n > 0,
-               "coverage probe needs positive M and N");
-    return config;
+    static constexpr core::Site::Kind kinds[numCoverageTargets] = {
+        core::Site::Kind::FetchBuf, core::Site::Kind::RenameMap,
+        core::Site::Kind::BranchPred};
+    auto t = static_cast<int>(target);
+    avf_assert(t >= 0 && t < numCoverageTargets,
+               "coverage probe bound to invalid target %d", t);
+    core::Site site;
+    site.kind = kinds[t];
+    return site;
 }
 
 } // namespace
@@ -42,91 +42,14 @@ CoverageProbe::CoverageProbe(cpu::Pipeline &pipe,
                              AttributionTracker &tracker,
                              CoverageTarget target,
                              CoverageProbeConfig config)
-    : pipeline(pipe), portRef(port), attribution(tracker),
-      probeTarget(target), conf(checked(config)), boundaryTick(config.m)
+    : core::WindowedEstimator(
+          pipe, probeSite(target),
+          core::OnlineConfig{.m = config.m, .n = config.n, .lanes = 1},
+          &port, -1),
+      attribution(tracker), probeTarget(target),
+      unit(attribution.registerBlameUnit(
+          std::string(coverageTargetName(target))))
 {
-    unit = attribution.registerBlameUnit(
-        std::string(coverageTargetName(target)));
-    lane = portRef.reserveLane();
-    avf_assert(numSlots() > 0, "coverage probe target has no slots");
-}
-
-int
-CoverageProbe::numSlots() const
-{
-    switch (probeTarget) {
-      case CoverageTarget::FetchBuf:
-        return pipeline.numFetchBufSlots();
-      case CoverageTarget::RenameMap:
-        return pipeline.numRenameMapSlots();
-      case CoverageTarget::BranchPred:
-        return pipeline.numBranchPredSlots();
-      default: break;
-    }
-    panic("coverage probe bound to invalid target");
-}
-
-Site
-CoverageProbe::siteAt(int slot) const
-{
-    Site site;
-    switch (probeTarget) {
-      case CoverageTarget::FetchBuf:
-        site.kind = Site::Kind::FetchBuf;
-        break;
-      case CoverageTarget::RenameMap:
-        site.kind = Site::Kind::RenameMap;
-        break;
-      case CoverageTarget::BranchPred:
-        site.kind = Site::Kind::BranchPred;
-        break;
-      default:
-        panic("coverage probe bound to invalid target");
-    }
-    site.entry = slot;
-    return site;
-}
-
-void
-CoverageProbe::onCycle(Cycle now)
-{
-    if (!boundaryTick.tick(now))
-        return;
-    if (windowOpen) {
-        core::Outcome outcome = portRef.closed(handle);
-        windowOpen = false;
-        ++injections;
-        ++lifetimeInjections;
-        if (outcome.failed) {
-            ++failures;
-            ++lifetimeFailures;
-        } else if (probeTarget == CoverageTarget::BranchPred &&
-                   (pipeline.branchPredKilledMask() & laneBit(lane))) {
-            // Counter bits never reach the dataflow: the first update
-            // of the injected counter kills them. Read the kill
-            // before the sweep below clears it.
-            ++killed;
-        }
-        attribution.recordWindow(unit, openCycle, windowLive,
-                                 outcome.failed, outcome.failPc,
-                                 outcome.failOp);
-        if (injections == conf.n) {
-            // One estimate per completed interval of n windows.
-            // avflint: allow(hot-path-alloc)
-            results.push_back(static_cast<double>(failures) /
-                              static_cast<double>(conf.n));
-            injections = 0;
-            failures = 0;
-        }
-    }
-    portRef.clearLanes(laneBit(lane));
-
-    Site site = siteAt(cursor);
-    cursor = (cursor + 1) % numSlots();
-    handle = portRef.open(lane, site, now);
-    windowOpen = true;
-    windowLive = handle.inject == InjectOutcome::Occupied;
-    openCycle = now;
 }
 
 std::string
@@ -135,47 +58,12 @@ CoverageProbe::name() const
     return "probe:" + std::string(coverageTargetName(probeTarget));
 }
 
-double
-CoverageProbe::partialAvf() const
-{
-    return injections ? static_cast<double>(failures) /
-                        static_cast<double>(injections)
-                      : 0.0;
-}
-
-core::EstimatorState
-CoverageProbe::snapshotState() const
-{
-    core::EstimatorState state;
-    state.name = name();
-    state.counters = {
-        {"injections", injections},
-        {"failures", failures},
-        {"lifetime_injections", lifetimeInjections},
-        {"lifetime_failures", lifetimeFailures},
-        {"killed", killed},
-        {"cursor", static_cast<std::uint64_t>(cursor)},
-    };
-    state.estimates = results;
-    return state;
-}
-
 void
-CoverageProbe::restoreState(const core::EstimatorState &state)
+CoverageProbe::windowClosed(LaneId, Cycle, const core::Outcome &outcome)
 {
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    injections = static_cast<std::uint32_t>(
-        state.counterValue("injections"));
-    failures = static_cast<std::uint32_t>(
-        state.counterValue("failures"));
-    lifetimeInjections = state.counterValue("lifetime_injections");
-    lifetimeFailures = state.counterValue("lifetime_failures");
-    killed = state.counterValue("killed");
-    cursor = static_cast<int>(state.counterValue("cursor"));
-    results = state.estimates;
+    attribution.recordWindow(unit, outcome.openedAt, outcome.live,
+                             outcome.failed, outcome.failPc,
+                             outcome.failOp);
 }
 
 } // namespace avf::obs

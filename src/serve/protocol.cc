@@ -368,8 +368,11 @@ foldSliceIntoRollup(CampaignRollup &rollup,
     rollup.cycles += task.result.summary.cycles;
     rollup.retired += task.result.summary.retired;
     for (const auto &state : task.result.estimatorStates) {
-        // Only the online family carries lifetime injection
-        // counters; the baselines and the port entry report zero.
+        // The summary counts the online estimators' windows only:
+        // coverage probes ("probe:*") carry the same counters but
+        // are not online injections.
+        if (!state.name.starts_with("online:"))
+            continue;
         rollup.injections +=
             state.counterValue("lifetime_injections");
         rollup.failures += state.counterValue("lifetime_failures");

@@ -163,6 +163,24 @@ TEST(EstimatorSnapshot, TlbRoundTrip)
     EXPECT_TRUE(sameState(fresh.snapshotState(), state));
 }
 
+TEST(EstimatorSnapshot, RestoreRejectsCursorOutsideTheTarget)
+{
+    // A checkpoint's cursor indexes the target's slots; one past the
+    // last FXU unit is malformed input and must leave the estimator
+    // untouched.
+    trace::SyntheticTraceGenerator gen(intProfile(0.2, "cursor"));
+    cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
+    OnlineAvfEstimator est(pipe, Structure::FXU);
+    const EstimatorState before = est.snapshotState();
+    EstimatorState bad = before;
+    for (auto &[key, value] : bad.counters)
+        if (key == "cursor")
+            value = static_cast<std::uint64_t>(pipe.config().numFxu);
+    bad.counters[0].second = 7; // would-be interval injections
+    EXPECT_THROW(est.restoreState(bad), std::invalid_argument);
+    EXPECT_TRUE(sameState(est.snapshotState(), before));
+}
+
 TEST(EstimatorSnapshot, RegressionRoundTripKeepsCalibration)
 {
     trace::SyntheticTraceGenerator gen(intProfile(0.2, "reg"));
@@ -448,6 +466,33 @@ TEST(ServeCampaign, ResumeFromMidCampaignCheckpointMatches)
                                       finalCkpt, error));
     EXPECT_TRUE(finalCkpt.complete);
     EXPECT_EQ(finalCkpt.slicesDone, spec.numSlices());
+}
+
+TEST(ServeCampaign, SummaryCountsOnlyOnlineInjections)
+{
+    // Root-cause campaigns add coverage probes, whose states carry
+    // lifetime counters too; the summary's injections/failures are
+    // the online estimators' alone, so the flag must not move them.
+    auto rollup_of = [](bool root_cause) {
+        serve::CampaignSpec spec = tinySpec("summary");
+        spec.rootCause = root_cause;
+        serve::CampaignRollup rollup;
+        std::string error;
+        EXPECT_TRUE(serve::runShardedSlices(
+            spec, 0, spec.numSlices(), 1,
+            [&](const harness::TaskResult &task, std::string &) {
+                serve::foldSliceIntoRollup(rollup, task);
+                return true;
+            },
+            error))
+            << error;
+        return rollup;
+    };
+    const serve::CampaignRollup plain = rollup_of(false);
+    const serve::CampaignRollup with_probes = rollup_of(true);
+    ASSERT_GT(plain.injections, 0u);
+    EXPECT_EQ(with_probes.injections, plain.injections);
+    EXPECT_EQ(with_probes.failures, plain.failures);
 }
 
 TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
