@@ -23,7 +23,8 @@
 #                every `avf-report root-cause` grouping renders back
 #   serve-smoke  the kill-and-resume gate: start avf-serve, submit a
 #                campaign over the socket, kill -9 the daemon
-#                mid-campaign, restart with --resume, and diff the
+#                mid-campaign, check that no slice worker outlives
+#                it, restart with --resume, and diff the
 #                final JSONL feed byte-for-byte against an
 #                uninterrupted batch run — at 1 AND 4 worker
 #                processes
@@ -246,6 +247,14 @@ run_serve_smoke() {
         done
         kill -9 "$DPID" 2>/dev/null || true
         wait "$DPID" 2>/dev/null || true
+        # Slice workers die with their parent: a second later nothing
+        # may still be running against this state directory.
+        sleep 1
+        if pgrep -f "avf-serve serve --dir $STATE " >/dev/null; then
+            echo "serve-smoke: slice workers outlived the killed daemon:" >&2
+            pgrep -af "avf-serve serve --dir $STATE " >&2
+            exit 1
+        fi
         echo "serve-smoke: daemon killed; state at the kill instant:"
         "$REPORT" serve-status "$STATE"
         # Restart with --resume: the daemon finishes the campaign

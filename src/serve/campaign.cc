@@ -1,7 +1,5 @@
 #include "serve/campaign.hh"
 
-#include <algorithm>
-
 #include "obs/feed_writer.hh"
 #include "serve/sharder.hh"
 
@@ -14,7 +12,9 @@ namespace
 /**
  * Run @p checkpoint's campaign from slicesDone to completion against
  * an already-positioned feed writer, checkpointing every K slices
- * and finishing with the summary row.
+ * and finishing with the summary row. The slices run as one pipeline;
+ * the consumer checkpoints at slicesDone + K, + 2K, ... and the last
+ * slice while later slices keep running.
  */
 bool
 runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
@@ -23,52 +23,46 @@ runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
 {
     const CampaignSpec &spec = checkpoint.campaign;
     const std::string ckptPath = paths.checkpointPath(spec.name);
+    const std::uint64_t first = checkpoint.slicesDone;
     const std::uint64_t slices = spec.numSlices();
     const auto every = static_cast<std::uint64_t>(
         spec.checkpointEverySlices);
 
-    while (checkpoint.slicesDone < slices) {
-        std::uint64_t batchEnd =
-            std::min(slices, checkpoint.slicesDone + every);
-        bool ok = runShardedSlices(
-            spec, checkpoint.slicesDone, batchEnd, workers,
-            [&](const harness::TaskResult &task,
-                std::string &sliceError) {
-                auto slice = static_cast<std::uint64_t>(task.index);
-                std::uint64_t base =
-                    slice *
-                    static_cast<std::uint64_t>(spec.sliceIntervals);
-                for (std::size_t k = 0;
-                     k < task.result.intervals.size(); ++k) {
-                    if (!feed.appendLine(
-                            feedIntervalLine(
-                                base + k, slice,
-                                task.result.intervals[k]),
-                            sliceError))
-                        return false;
-                }
-                foldSliceIntoRollup(checkpoint.rollup, task);
-                checkpoint.lastStates = task.result.estimatorStates;
-                if (spec.metrics)
-                    checkpoint.metricsTotals.mergeTotals(
-                        task.result.metrics);
-                if (spec.rootCause)
-                    checkpoint.attributionTotals.mergeFrom(
-                        task.result.attribution);
+    bool ok = runShardedSlices(
+        spec, first, slices, workers,
+        [&](const harness::TaskResult &task, std::string &sliceError) {
+            auto slice = static_cast<std::uint64_t>(task.index);
+            std::uint64_t base =
+                slice * static_cast<std::uint64_t>(spec.sliceIntervals);
+            for (std::size_t k = 0; k < task.result.intervals.size();
+                 ++k) {
+                if (!feed.appendLine(
+                        feedIntervalLine(base + k, slice,
+                                         task.result.intervals[k]),
+                        sliceError))
+                    return false;
+            }
+            foldSliceIntoRollup(checkpoint.rollup, task);
+            checkpoint.lastStates = task.result.estimatorStates;
+            if (spec.metrics)
+                checkpoint.metricsTotals.mergeTotals(task.result.metrics);
+            if (spec.rootCause)
+                checkpoint.attributionTotals.mergeFrom(
+                    task.result.attribution);
+            const std::uint64_t done = slice + 1;
+            if ((done - first) % every != 0 && done != slices)
                 return true;
-            },
-            errorOut);
-        if (!ok)
-            return false;
-        // Durability order matters: the feed must be on disk before
-        // the checkpoint that claims it is.
-        if (!feed.flushSync(errorOut))
-            return false;
-        checkpoint.slicesDone = batchEnd;
-        checkpoint.feedBytes = feed.bytesWritten();
-        if (!saveCheckpoint(checkpoint, ckptPath, errorOut))
-            return false;
-    }
+            // Durability order matters: the feed must be on disk
+            // before the checkpoint that claims it is.
+            if (!feed.flushSync(sliceError))
+                return false;
+            checkpoint.slicesDone = done;
+            checkpoint.feedBytes = feed.bytesWritten();
+            return saveCheckpoint(checkpoint, ckptPath, sliceError);
+        },
+        errorOut);
+    if (!ok)
+        return false;
 
     // The attribution rollup precedes the summary row so a tail
     // reader sees the blame table before the campaign's last line.

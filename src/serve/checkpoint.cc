@@ -187,40 +187,11 @@ decodeCheckpoint(std::string_view text, Checkpoint &out,
     const json::Value *campaign = doc.find("campaign");
     if (!campaign || !campaign->isObject())
         return fail(errorOut, "missing campaign");
-    CampaignSpec &c = out.campaign;
-    const json::Value *name =
-        campaign->find("name", json::Value::Kind::String);
-    const json::Value *benchmark =
-        campaign->find("benchmark", json::Value::Kind::String);
-    if (!name || !benchmark)
-        return fail(errorOut, "campaign missing name or benchmark");
-    c.name = name->text;
-    c.benchmark = benchmark->text;
-    std::uint64_t intervals = 0, slice = 0, n = 0, lanes = 0,
-                  every = 0;
-    if (!readUint(*campaign, "intervals", intervals, errorOut) ||
-        !readUint(*campaign, "slice_intervals", slice, errorOut) ||
-        !readUint(*campaign, "m", c.m, errorOut) ||
-        !readUint(*campaign, "n", n, errorOut) ||
-        !readUint(*campaign, "lanes", lanes, errorOut) ||
-        !readUint(*campaign, "seed_salt", c.seedSalt, errorOut) ||
-        !readUint(*campaign, "checkpoint_every", every, errorOut))
-        return false;
-    c.intervals = static_cast<int>(intervals);
-    c.sliceIntervals = static_cast<int>(slice);
-    c.n = static_cast<std::uint32_t>(n);
-    c.lanes = static_cast<int>(lanes);
-    c.checkpointEverySlices = static_cast<int>(every);
-    if (const json::Value *metrics = campaign->find("metrics")) {
-        if (!metrics->isBool())
-            return fail(errorOut, "campaign metrics not a bool");
-        c.metrics = metrics->boolean;
-    }
-    if (const json::Value *rc = campaign->find("root_cause")) {
-        if (!rc->isBool())
-            return fail(errorOut, "campaign root_cause not a bool");
-        c.rootCause = rc->boolean;
-    }
+    // The protocol's own validation: a corrupt checkpoint must not
+    // resume a campaign a submit request could not have started.
+    std::string campaignError;
+    if (!parseCampaign(*campaign, out.campaign, campaignError))
+        return fail(errorOut, "campaign " + campaignError);
 
     if (!readUint(doc, "slices_done", out.slicesDone, errorOut) ||
         !readUint(doc, "feed_bytes", out.feedBytes, errorOut))

@@ -81,6 +81,8 @@ readUint(const json::Value &object, const char *key,
     return true;
 }
 
+} // namespace
+
 bool
 parseCampaign(const json::Value &body, CampaignSpec &out,
               std::string &errorOut)
@@ -153,8 +155,6 @@ parseCampaign(const json::Value &body, CampaignSpec &out,
     }
     return true;
 }
-
-} // namespace
 
 bool
 parseRequest(std::string_view line, Request &out,

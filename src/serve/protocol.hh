@@ -27,6 +27,11 @@
 #include "obs/attribution.hh"
 #include "util/types.hh"
 
+namespace avf::json
+{
+class Value;
+} // namespace avf::json
+
 namespace avf::serve
 {
 
@@ -114,6 +119,14 @@ struct Request
     Op op = Op::Status;
     CampaignSpec campaign;
 };
+
+/**
+ * Parse and validate a campaign object (a submit request's
+ * "campaign" member, or a checkpoint's) into @p out, with the same
+ * range and charset checks as parseRequest.
+ */
+bool parseCampaign(const json::Value &body, CampaignSpec &out,
+                   std::string &errorOut);
 
 /**
  * Parse and validate one request line. Every field is range- and

@@ -1,10 +1,11 @@
 #include "serve/sharder.hh"
 
+#include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <deque>
 #include <exception>
-#include <vector>
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,52 +48,100 @@ makeSliceConfig(const CampaignSpec &spec, std::uint64_t index)
 namespace
 {
 
+/** One forked slice: its child and the read end of its pipe. */
+struct SliceChild
+{
+    pid_t pid;
+    std::FILE *stream;
+};
+
 /**
- * Child body: run this worker's slices sequentially, stream each
- * encoded result over the pipe, then _exit without touching any
- * parent-owned state (no atexit handlers, no stdio flush of
- * inherited buffers, no engine thread pool).
+ * Child body: run slice @p index, write its encoded result over the
+ * pipe, then _exit without touching any parent-owned state (no atexit
+ * handlers, no stdio flush of inherited buffers, no engine thread
+ * pool).
  */
 [[noreturn]] void
-workerMain(const CampaignSpec &spec, std::uint64_t firstSlice,
-           std::uint64_t endSlice, std::uint64_t worker,
-           std::uint64_t workerCount, int pipeFd)
+sliceMain(const CampaignSpec &spec, std::uint64_t index, pid_t parent,
+          int pipeFd)
 {
-    std::FILE *out = ::fdopen(pipeFd, "w");
-    if (!out) {
+    // Die with the parent: a SIGKILLed daemon must not leave its
+    // slices running to completion and competing with a --resume
+    // restart for cores. A parent that died before the prctl took
+    // effect shows up as a changed getppid().
+    if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+        ::getppid() != parent) {
         // avflint: allow(exit-site) — forked worker; only _exit is
         // safe here (exit() would run the parent's atexit handlers
         // and flush inherited stdio buffers twice).
+        ::_exit(4);
+    }
+    std::FILE *out = ::fdopen(pipeFd, "w");
+    if (!out) {
+        // avflint: allow(exit-site) — see above.
         ::_exit(2);
     }
-    for (std::uint64_t i = firstSlice + worker; i < endSlice;
-         i += workerCount) {
-        harness::TaskResult task;
-        task.index = static_cast<std::size_t>(i);
-        task.name = spec.name + ":" + std::to_string(i);
-        try {
-            task.result = harness::detail::runExperimentDirect(
-                makeSliceConfig(spec, i));
-        } catch (const std::exception &e) {
-            task.errorText = e.what();
-        } catch (...) {
-            task.errorText = "unknown exception";
-        }
-        std::string line = harness::codec::encodeTaskResult(task);
-        line += '\n';
-        if (std::fwrite(line.data(), 1, line.size(), out) !=
-                line.size() ||
-            std::fflush(out) != 0) {
-            // avflint: allow(exit-site) — see above.
-            ::_exit(3);
-        }
+    harness::TaskResult task;
+    task.index = static_cast<std::size_t>(index);
+    task.name = spec.name + ":" + std::to_string(index);
+    try {
+        task.result = harness::detail::runExperimentDirect(
+            makeSliceConfig(spec, index));
+    } catch (const std::exception &e) {
+        task.errorText = e.what();
+    } catch (...) {
+        task.errorText = "unknown exception";
     }
-    if (std::fclose(out) != 0) {
+    std::string line = harness::codec::encodeTaskResult(task);
+    line += '\n';
+    if (std::fwrite(line.data(), 1, line.size(), out) != line.size() ||
+        std::fclose(out) != 0) {
         // avflint: allow(exit-site) — see above.
         ::_exit(3);
     }
     // avflint: allow(exit-site) — see above.
     ::_exit(0);
+}
+
+/**
+ * Fork the child for slice @p index and append it to @p inFlight.
+ * The child closes the read ends of the slices already in flight, so
+ * the parent is the only reader of every pipe.
+ */
+bool
+forkSlice(const CampaignSpec &spec, std::uint64_t index,
+          std::deque<SliceChild> &inFlight, std::string &errorOut)
+{
+    int fds[2];
+    if (::pipe(fds) != 0) {
+        errorOut = "sharder: pipe() failed";
+        return false;
+    }
+    const pid_t parent = ::getpid();
+    pid_t pid = ::fork();
+    if (pid < 0) {
+        errorOut = "sharder: fork() failed";
+        ::close(fds[0]);
+        ::close(fds[1]);
+        return false;
+    }
+    if (pid == 0) {
+        ::close(fds[0]);
+        for (const SliceChild &child : inFlight)
+            (void)std::fclose(child.stream);
+        sliceMain(spec, index, parent, fds[1]);
+    }
+    ::close(fds[1]);
+    std::FILE *stream = ::fdopen(fds[0], "r");
+    if (!stream) {
+        errorOut = "sharder: fdopen() failed";
+        ::close(fds[0]);
+        ::kill(pid, SIGKILL);
+        (void)::waitpid(pid, nullptr, 0);
+        return false;
+    }
+    inFlight.push_back({pid, stream});
+    return true;
 }
 
 /** Read one '\n'-terminated line; false on EOF or error. */
@@ -109,25 +158,21 @@ readLine(std::FILE *stream, std::string &lineOut)
     return false;
 }
 
-/** Reap every child; true when all exited cleanly with status 0. */
+/** Reap @p pid; true when it exited cleanly with status 0. */
 bool
-reapWorkers(const std::vector<pid_t> &pids, std::string &errorOut)
+reapChild(pid_t pid, std::string &errorOut)
 {
-    bool ok = true;
-    for (pid_t pid : pids) {
-        int status = 0;
-        if (::waitpid(pid, &status, 0) != pid) {
-            ok = false;
-            errorOut = "sharder: waitpid failed";
-            continue;
-        }
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-            ok = false;
-            errorOut = "sharder: worker exited abnormally (status " +
-                       std::to_string(status) + ")";
-        }
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid) {
+        errorOut = "sharder: waitpid failed";
+        return false;
     }
-    return ok;
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        errorOut = "sharder: worker exited abnormally (status " +
+                   std::to_string(status) + ")";
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -137,72 +182,41 @@ runShardedSlices(const CampaignSpec &spec, std::uint64_t firstSlice,
                  std::uint64_t endSlice, int workers,
                  const SliceConsumer &onSlice, std::string &errorOut)
 {
-    if (firstSlice >= endSlice)
+    const auto window =
+        static_cast<std::size_t>(workers < 1 ? 1 : workers);
+    // Children for slices [next - inFlight.size(), next), oldest
+    // first; the head is always the next slice the consumer needs.
+    std::deque<SliceChild> inFlight;
+    std::uint64_t next = firstSlice;
+    auto refill = [&] {
+        for (; next < endSlice && inFlight.size() < window; ++next)
+            if (!forkSlice(spec, next, inFlight, errorOut))
+                return false;
         return true;
-    std::uint64_t count = endSlice - firstSlice;
-    auto workerCount = static_cast<std::uint64_t>(
-        workers < 1 ? 1 : workers);
-    if (workerCount > count)
-        workerCount = count;
+    };
 
-    std::vector<std::FILE *> streams;
-    std::vector<pid_t> pids;
-    streams.reserve(workerCount);
-    pids.reserve(workerCount);
-
-    for (std::uint64_t w = 0; w < workerCount; ++w) {
-        int fds[2];
-        if (::pipe(fds) != 0) {
-            errorOut = "sharder: pipe() failed";
-            break;
-        }
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            errorOut = "sharder: fork() failed";
-            ::close(fds[0]);
-            ::close(fds[1]);
-            break;
-        }
-        if (pid == 0) {
-            // Child: drop every read end inherited so far (ours and
-            // the earlier workers'), keep only our write end.
-            ::close(fds[0]);
-            for (std::FILE *stream : streams)
-                (void)std::fclose(stream);
-            workerMain(spec, firstSlice, endSlice, w, workerCount,
-                       fds[1]);
-        }
-        ::close(fds[1]);
-        std::FILE *stream = ::fdopen(fds[0], "r");
-        if (!stream) {
-            errorOut = "sharder: fdopen() failed";
-            ::close(fds[0]);
-            pids.push_back(pid);
-            break;
-        }
-        streams.push_back(stream);
-        pids.push_back(pid);
-    }
-
-    bool ok = streams.size() == workerCount;
-
-    // Merge: visit slices in global order, reading each from its
-    // owner's pipe. A worker that runs ahead blocks on pipe
-    // backpressure; the parent never blocks writing, so the merge
-    // cannot deadlock.
+    bool ok = refill();
     std::string line;
     harness::TaskResult task;
     for (std::uint64_t i = firstSlice; ok && i < endSlice; ++i) {
-        std::FILE *stream =
-            streams[static_cast<std::size_t>((i - firstSlice) %
-                                             workerCount)];
-        if (!readLine(stream, line)) {
+        SliceChild head = inFlight.front();
+        inFlight.pop_front();
+        bool read = readLine(head.stream, line);
+        (void)std::fclose(head.stream);
+        if (!reapChild(head.pid, errorOut)) {
+            ok = false;
+            break;
+        }
+        if (!read) {
             errorOut = "sharder: worker pipe closed before slice " +
                        std::to_string(i);
             ok = false;
             break;
         }
-        if (!harness::codec::decodeTaskResult(line, task, errorOut)) {
+        // Slice i + W starts before slice i is consumed, so the
+        // consumer's fsyncs overlap the next slices' simulation.
+        if (!refill() ||
+            !harness::codec::decodeTaskResult(line, task, errorOut)) {
             ok = false;
             break;
         }
@@ -224,12 +238,12 @@ runShardedSlices(const CampaignSpec &spec, std::uint64_t firstSlice,
         }
     }
 
-    for (std::FILE *stream : streams)
-        (void)std::fclose(stream);
-    std::string reapError;
-    if (!reapWorkers(pids, reapError) && ok) {
-        errorOut = reapError;
-        ok = false;
+    // On failure, the slices still in flight are abandoned: no one
+    // will read them, so they are killed rather than left to finish.
+    for (const SliceChild &child : inFlight) {
+        ::kill(child.pid, SIGKILL);
+        (void)std::fclose(child.stream);
+        (void)::waitpid(child.pid, nullptr, 0);
     }
     return ok;
 }

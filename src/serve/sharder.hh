@@ -5,21 +5,24 @@
  * back in slice order, so many-tenant daemons isolate campaign
  * failures and byte-identity survives any worker count.
  *
- * Topology: worker w of W owns slices first+w, first+w+W, ... (static
- * round-robin — assignment depends only on the slice index, never on
- * scheduling). Each worker runs its slices sequentially with
+ * Topology: one forked child per slice, run as a pipeline. Up to W
+ * children are in flight at once; the parent reads their results in
+ * slice order, and once slice i is read it forks slice i+W, so a
+ * consumer that checkpoints between slices is no barrier to the
+ * slices still running. Each child runs its slice with
  * harness::detail::runExperimentDirect (no thread pool in children),
- * encodes every result through harness/task_codec, and streams the
- * lines over its pipe. The parent reads the pipes in global slice
- * order, so the consumer sees exactly the submission-order stream the
- * in-process engine would deliver; pipe backpressure bounds how far
- * ahead a fast worker can run without any polling.
+ * encodes the result through harness/task_codec, writes the line over
+ * its own pipe and exits; reading in slice order gives the consumer
+ * exactly the submission-order stream the in-process engine would
+ * deliver, whatever order the children finish in.
  *
  * Fork safety: this file owns the repo's only fork() call (enforced
  * by avflint's fork-safety check), and callers must be
  * single-threaded when they invoke it — the serve daemon is, by
  * design. Children never touch the listening socket or the feed;
- * they write their pipe and _exit.
+ * they write their pipe and _exit. A child dies with the thread that
+ * forked it (PR_SET_PDEATHSIG), so a SIGKILLed daemon leaves no slice
+ * running; the sharder never returns with a child still alive.
  */
 
 #ifndef AVF_SERVE_SHARDER_HH
@@ -52,16 +55,16 @@ using SliceConsumer = std::function<bool(
     const harness::TaskResult &task, std::string &errorOut)>;
 
 /**
- * Run slices [@p firstSlice, @p endSlice) of @p spec over
- * @p workers forked processes and hand each decoded result to
- * @p onSlice in slice order. The worker count is clamped to the
- * slice count (and to at least 1). Every result — even at one
- * worker — crosses the wire codec, so the consumer's view is
- * byte-identical at any shard count by construction.
+ * Run slices [@p firstSlice, @p endSlice) of @p spec, one forked
+ * child each with up to @p workers (at least 1) in flight, and hand
+ * each decoded result to @p onSlice in slice order. Every result —
+ * even at one worker — crosses the wire codec, so the consumer's
+ * view is byte-identical at any shard count by construction.
  *
  * @return false with @p errorOut set when a worker dies, a wire
  *         line fails to decode, a slice reports an error, or the
- *         consumer aborts.
+ *         consumer aborts; the children still in flight are then
+ *         killed and reaped.
  */
 bool runShardedSlices(const CampaignSpec &spec,
                       std::uint64_t firstSlice,

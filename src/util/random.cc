@@ -105,6 +105,11 @@ Rng::geometric(double p, std::uint64_t cap)
     // Inverse-CDF method.
     double u = uniform();
     double draws = std::floor(std::log1p(-u) / std::log1p(-p));
+    // Clamp before the cast: a tiny p makes the quotient reach 2^64,
+    // and converting such a double is undefined. Comparing with a
+    // constant, not cap, saves a conversion on every draw.
+    if (!(draws < 0x1p64))
+        return cap;
     if (draws < 0.0)
         draws = 0.0;
     auto val = static_cast<std::uint64_t>(draws);

@@ -11,14 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/prctl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 
 #include "core/occupancy_estimator.hh"
 #include "core/online_estimator.hh"
@@ -468,6 +475,91 @@ TEST(ServeCampaign, ResumeFromMidCampaignCheckpointMatches)
     EXPECT_EQ(finalCkpt.slicesDone, spec.numSlices());
 }
 
+/**
+ * Lowers this process's file-size limit for its lifetime, with
+ * SIGXFSZ ignored so an over-limit write fails with EFBIG instead of
+ * killing the process.
+ */
+class FileSizeLimit
+{
+  public:
+    explicit FileSizeLimit(rlim_t bytes)
+        : previousHandler(std::signal(SIGXFSZ, SIG_IGN))
+    {
+        (void)::getrlimit(RLIMIT_FSIZE, &saved);
+        rlimit lowered = saved;
+        lowered.rlim_cur = bytes;
+        (void)::setrlimit(RLIMIT_FSIZE, &lowered);
+    }
+    ~FileSizeLimit()
+    {
+        (void)::setrlimit(RLIMIT_FSIZE, &saved);
+        (void)std::signal(SIGXFSZ, previousHandler);
+    }
+    FileSizeLimit(const FileSizeLimit &) = delete;
+    FileSizeLimit &operator=(const FileSizeLimit &) = delete;
+
+  private:
+    void (*previousHandler)(int);
+    rlimit saved{};
+};
+
+TEST(ServeCampaign, ResumeFromEveryCheckpointAtFourProcsMatches)
+{
+    // Slices long enough that one slice's feed rows outweigh a whole
+    // checkpoint file, so a file-size limit at the feed's byte count
+    // after slice k lets checkpoint k through and stops the campaign
+    // at slice k + 1's rows — a kill right after checkpoint k, made
+    // deterministic while later slices are still in flight.
+    serve::CampaignSpec spec = tinySpec("everyk");
+    spec.intervals = 120;
+    spec.sliceIntervals = 20;
+    const std::string base = ::testing::TempDir();
+    std::string error;
+
+    serve::StatePaths ref(base + "serve_everyk_ref");
+    ASSERT_TRUE(::mkdir(ref.dir.c_str(), 0775) == 0 ||
+                errno == EEXIST);
+    ASSERT_TRUE(serve::runCampaignFresh(spec, ref, 4, error))
+        << error;
+    const std::string feed = slurp(ref.feedPath(spec.name));
+    const std::string ckpt = slurp(ref.checkpointPath(spec.name));
+
+    // Byte count after each feed line: the header, then one line per
+    // interval, then the summary.
+    std::vector<std::size_t> lineEnds;
+    for (std::size_t pos = 0;
+         (pos = feed.find('\n', pos)) != std::string::npos; ++pos)
+        lineEnds.push_back(pos + 1);
+    ASSERT_EQ(lineEnds.size(), spec.intervals + 2);
+
+    for (std::uint64_t k = 1; k <= spec.numSlices(); ++k) {
+        SCOPED_TRACE("cut after slice " + std::to_string(k));
+        serve::StatePaths cut(base + "serve_everyk_" +
+                              std::to_string(k));
+        ASSERT_TRUE(::mkdir(cut.dir.c_str(), 0775) == 0 ||
+                    errno == EEXIST);
+        const std::size_t durable =
+            lineEnds[k * static_cast<std::uint64_t>(spec.sliceIntervals)];
+        {
+            FileSizeLimit limit(durable);
+            EXPECT_FALSE(serve::runCampaignFresh(spec, cut, 4, error));
+        }
+        serve::Checkpoint atCut;
+        ASSERT_TRUE(serve::loadCheckpoint(cut.checkpointPath(spec.name),
+                                          atCut, error))
+            << error;
+        ASSERT_EQ(atCut.slicesDone, k);
+        EXPECT_EQ(atCut.feedBytes, durable);
+        EXPECT_FALSE(atCut.complete);
+
+        ASSERT_TRUE(serve::resumeCampaign(spec.name, cut, 4, error))
+            << error;
+        EXPECT_EQ(slurp(cut.feedPath(spec.name)), feed);
+        EXPECT_EQ(slurp(cut.checkpointPath(spec.name)), ckpt);
+    }
+}
+
 TEST(ServeCampaign, SummaryCountsOnlyOnlineInjections)
 {
     // Root-cause campaigns add coverage probes, whose states carry
@@ -495,6 +587,144 @@ TEST(ServeCampaign, SummaryCountsOnlyOnlineInjections)
     EXPECT_EQ(with_probes.failures, plain.failures);
 }
 
+// ---------------------------------------------------------------- //
+// The slice pipeline                                                //
+// ---------------------------------------------------------------- //
+
+/** Nine slices: more than any window below keeps in flight. */
+serve::CampaignSpec
+nineSliceSpec(const char *name)
+{
+    serve::CampaignSpec spec = tinySpec(name);
+    spec.intervals = 18;
+    return spec;
+}
+
+TEST(ServeSharder, PipelineDeliversIdenticalResultsInSliceOrder)
+{
+    const serve::CampaignSpec spec = nineSliceSpec("pipeline");
+    auto encoded = [&spec](std::uint64_t first, int workers) {
+        std::vector<std::string> seen;
+        std::string error;
+        EXPECT_TRUE(serve::runShardedSlices(
+            spec, first, spec.numSlices(), workers,
+            [&](const harness::TaskResult &task, std::string &) {
+                EXPECT_EQ(task.index, first + seen.size());
+                seen.push_back(harness::codec::encodeTaskResult(task));
+                return true;
+            },
+            error))
+            << error;
+        return seen;
+    };
+    const std::vector<std::string> reference = encoded(0, 1);
+    ASSERT_EQ(reference.size(), spec.numSlices());
+    for (int workers : {2, 3, 4, 7})
+        EXPECT_EQ(encoded(0, workers), reference)
+            << workers << " workers";
+    // A resumed range keeps its slices' bytes.
+    EXPECT_EQ(encoded(4, 3),
+              std::vector<std::string>(reference.begin() + 4,
+                                       reference.end()));
+}
+
+TEST(ServeSharder, ConsumerFailureStopsThePipelineAndReapsEveryChild)
+{
+    const serve::CampaignSpec spec = nineSliceSpec("abort");
+    std::uint64_t consumed = 0;
+    std::string error;
+    EXPECT_FALSE(serve::runShardedSlices(
+        spec, 0, spec.numSlices(), 4,
+        [&](const harness::TaskResult &task, std::string &out) {
+            ++consumed;
+            if (task.index < 2)
+                return true;
+            out = "consumer stopped at slice 2";
+            return false;
+        },
+        error));
+    EXPECT_EQ(error, "consumer stopped at slice 2");
+    EXPECT_EQ(consumed, 3u);
+    // Slices 3-6 were in flight; none may outlive the call.
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+}
+
+/** Direct children of @p pid, from procfs. */
+std::vector<pid_t>
+childrenOf(pid_t pid)
+{
+    const std::string id = std::to_string(pid);
+    std::ifstream in("/proc/" + id + "/task/" + id + "/children");
+    std::vector<pid_t> out;
+    for (pid_t child = 0; in >> child;)
+        out.push_back(child);
+    return out;
+}
+
+void
+pauseMs(long ms)
+{
+    timespec pause{0, ms * 1'000'000L};
+    (void)::nanosleep(&pause, nullptr);
+}
+
+TEST(ServeSharder, SliceChildrenDieWithTheirParent)
+{
+    // Orphans re-parent to this process, so it can reap them and
+    // read how they died.
+    ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+    const std::string dir = ::testing::TempDir() + "serve_orphans";
+    ASSERT_TRUE(::mkdir(dir.c_str(), 0775) == 0 || errno == EEXIST);
+
+    // Four slices of half a second or more each, all in flight at once.
+    std::vector<std::string> args = {
+        AVF_SERVE_BIN,       "batch",   "--dir",       dir,
+        "--procs",           "4",       "--name",      "orphans",
+        "--benchmark",       "mesa",    "--intervals", "80",
+        "--slice-intervals", "20",      "--m",         "1000",
+        "--n",               "1000"};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    char *envp[] = {nullptr};
+    posix_spawn_file_actions_t quiet;
+    ASSERT_EQ(::posix_spawn_file_actions_init(&quiet), 0);
+    (void)::posix_spawn_file_actions_addopen(&quiet, 1, "/dev/null",
+                                             O_WRONLY, 0);
+    pid_t daemon = 0;
+    int spawned = ::posix_spawn(&daemon, AVF_SERVE_BIN, &quiet,
+                                nullptr, argv.data(), envp);
+    (void)::posix_spawn_file_actions_destroy(&quiet);
+    ASSERT_EQ(spawned, 0);
+
+    std::vector<pid_t> slices;
+    for (int poll = 0; poll < 400 && slices.size() < 4; ++poll) {
+        pauseMs(25);
+        slices = childrenOf(daemon);
+    }
+    // Let every child get past its parent-death setup, then kill
+    // the parent mid-slice.
+    pauseMs(100);
+    ::kill(daemon, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(daemon, &status, 0), daemon);
+    EXPECT_EQ(slices.size(), 4u);
+
+    std::size_t reaped = 0;
+    for (pid_t pid = 0; (pid = ::waitpid(-1, &status, 0)) > 0;) {
+        ++reaped;
+        EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+            << "orphan " << pid << " status " << status;
+    }
+    EXPECT_EQ(errno, ECHILD);
+    EXPECT_EQ(reaped, slices.size());
+    (void)::prctl(PR_SET_CHILD_SUBREAPER, 0);
+}
+
 TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
 {
     serve::Checkpoint checkpoint;
@@ -520,6 +750,30 @@ TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
     EXPECT_EQ(decoded.slicesDone, 2u);
     EXPECT_EQ(decoded.lastStates.size(), 1u);
     EXPECT_EQ(decoded.lastStates[0].counterValue("failures"), 2u);
+}
+
+TEST(ServeCheckpoint, RejectsCampaignOutsideProtocolRanges)
+{
+    // A corrupt checkpoint must fail to load, not resume a campaign
+    // that divides by zero or never advances.
+    serve::Checkpoint checkpoint;
+    checkpoint.campaign = tinySpec("ckpt");
+    const std::string text = serve::encodeCheckpoint(checkpoint);
+    for (const auto &[field, bad] :
+         {std::pair{"\"checkpoint_every\":1", "\"checkpoint_every\":0"},
+          std::pair{"\"slice_intervals\":2", "\"slice_intervals\":0"},
+          std::pair{"\"benchmark\":\"bzip2\"", "\"benchmark\":\"nope\""}}) {
+        std::string corrupt = text;
+        const std::size_t at = corrupt.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        corrupt.replace(at, std::string_view(field).size(), bad);
+        serve::Checkpoint decoded;
+        std::string error;
+        EXPECT_FALSE(serve::decodeCheckpoint(corrupt, decoded, error))
+            << bad;
+        EXPECT_EQ(error.rfind("checkpoint: campaign request: ", 0), 0u)
+            << error;
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -180,6 +180,17 @@ TEST(Rng, GeometricRespectsCap)
         EXPECT_LE(rng.geometric(0.001, 5), 5u);
 }
 
+TEST(Rng, GeometricClampsHugeDrawsToTheCap)
+{
+    // With p this small the inverse-CDF quotient is far above 2^64;
+    // it must clamp to the cap, not wrap through an out-of-range cast.
+    Rng rng(37);
+    for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(rng.geometric(1e-20, 5), 5u);
+        ASSERT_EQ(rng.geometric(1e-300), std::uint64_t{1} << 20);
+    }
+}
+
 TEST(Rng, GaussianMoments)
 {
     Rng rng(31);
